@@ -277,7 +277,8 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
+        # bad input values and files that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

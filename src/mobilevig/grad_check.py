@@ -227,15 +227,16 @@ def grad_check_svga(shape: tuple[int, int, int, int] = (1, 4, 4, 4), k: int = 2,
             if not np.all(np.isfinite(g)):
                 raise GradCheckError(f"non-finite gradient for {name}")
 
-        def loss() -> float:
+        def loss() -> np.floating:
             if identity_act:
                 # extended precision kills the cancellation noise of the
-                # difference quotient; the identity path needs no erf, so
+                # difference quotient, so the sum stays in it until the
+                # quotient is formed; the identity path needs no erf, so
                 # every kernel supports it
                 out, _ = _forward_tape(x.astype(np.longdouble), weights, True)
             else:
                 out = svga_block_forward(x, weights)
-            return float(np.sum(out))
+            return np.sum(out)
 
         max_rel = 0.0
         for name, arr in [("x", x)] + _named_weight_arrays(weights):
@@ -247,7 +248,7 @@ def grad_check_svga(shape: tuple[int, int, int, int] = (1, 4, 4, 4), k: int = 2,
                 arr.flat[i] = orig - step
                 lm = loss()
                 arr.flat[i] = orig
-                fd = (lp - lm) / (2.0 * step)
+                fd = float((lp - lm) / (2.0 * step))
                 a = float(analytic.flat[i])
                 rel = abs(a - fd) / max(abs(a), abs(fd), 1e-6)
                 max_rel = max(max_rel, rel)

@@ -166,3 +166,29 @@ def test_forward_rejects_non_ppm(capsys, tmp_path):
     rc = main(["forward", "--variant", "Ti", "--input", str(path)])
     assert rc == 2
     assert "P6" in capsys.readouterr().err
+
+
+def _assert_one_error_line(capsys, path_name):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and path_name in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_forward_missing_weights_file_exits_two(capsys, tmp_path):
+    rc = main(["forward", "--variant", "Ti", "--size", "64",
+               "--load", str(tmp_path / "absent.mvig")])
+    assert rc == 2
+    _assert_one_error_line(capsys, "absent.mvig")
+
+
+def test_forward_missing_input_file_exits_two(capsys, tmp_path):
+    rc = main(["forward", "--variant", "Ti", "--input", str(tmp_path / "absent.ppm")])
+    assert rc == 2
+    _assert_one_error_line(capsys, "absent.ppm")
+
+
+def test_unwritable_json_path_exits_two(capsys, tmp_path):
+    rc = main(["describe", "--variant", "Ti",
+               "--json", str(tmp_path / "no-such-dir" / "out.json")])
+    assert rc == 2
+    _assert_one_error_line(capsys, "out.json")

@@ -4,6 +4,7 @@ import pytest
 import mobilevig.grad_check as gc
 from mobilevig.grad_check import GradCheckError, grad_check_svga, random_block_weights
 from mobilevig.svga import svga_block_forward
+from mobilevig.verify import GRAD_LINEAR_TOL
 
 
 def test_full_block_gradients_match_finite_differences():
@@ -19,6 +20,13 @@ def test_small_irregular_shape():
 def test_linear_subnetwork_is_near_exact():
     err = grad_check_svga((1, 4, 4, 4), k=2, seed=0, identity_act=True)
     assert err < 1e-8, f"max relative error {err}"
+
+
+def test_linear_subnetwork_seed_6_within_suite_tolerance():
+    # the difference quotient is formed in extended precision; rounding the
+    # loss to float64 first put this seed at 7e-8
+    err = grad_check_svga((1, 4, 4, 4), k=2, seed=6, identity_act=True)
+    assert err < GRAD_LINEAR_TOL, f"max relative error {err}"
 
 
 def test_element_budget_enforced():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import erf as scipy_erf
 
 from mobilevig.tensor_core import (
     ConvSpec,
@@ -214,6 +215,85 @@ def test_gelu_matches_scalar_erf_reference():
     for v, g in zip(x.ravel(), got.ravel()):
         ref = v * 0.5 * (1.0 + math.erf(v / math.sqrt(2.0)))
         assert abs(g - ref) < 1e-12
+
+
+def _gelu_float64_reference(x):
+    x64 = np.asarray(x, dtype=np.float64)
+    return x64 * (0.5 * (1.0 + scipy_erf(x64 / math.sqrt(2.0))))
+
+
+def test_gelu_float32_dense_sweep_error_bound():
+    x = np.concatenate([
+        np.linspace(-8.0, 8.0, 2_000_001).astype(np.float32),
+        np.array([10.0, -10.0, 1e30, -1e30, 0.0], np.float32),
+    ])
+    got = gelu(x)
+    assert got.dtype == np.float32
+    assert np.all(np.isfinite(got))
+    err = np.max(np.abs(got.astype(np.float64) - _gelu_float64_reference(x)))
+    assert err <= 2e-6, f"max abs error {err}"
+    assert gelu(np.zeros(1, np.float32)).item() == 0.0
+
+
+def test_gelu_float32_bitwise_under_repacking():
+    # spans three block boundaries of the blocked float32 kernel
+    n = 3 * 65536 + 17
+    x = (rand((n,), seed=24) * 4.0).reshape(5, 25, 11, 143)
+    whole = gelu(x)
+    flat = x.reshape(-1)
+    cuts = [0, 1, 65531, 65541, 131072, 131073, 196600, n]
+    pieces = np.concatenate([gelu(flat[a:b]) for a, b in zip(cuts, cuts[1:])])
+    assert np.array_equal(pieces, whole.reshape(-1))
+    per_item = np.concatenate([gelu(x[i:i + 1]) for i in range(x.shape[0])])
+    assert np.array_equal(per_item, whole)
+
+
+# ------------------------------------------- in-place kernels vs allocating
+
+def _depthwise_allocating(x, weight, bias, stride, padding):
+    # the allocating tap sum the in-place kernel must reproduce bitwise
+    c, _, kh, kw = weight.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    oh = (x.shape[2] + 2 * padding - kh) // stride + 1
+    ow = (x.shape[3] + 2 * padding - kw) // stride + 1
+    acc = None
+    for ky in range(kh):
+        for kx in range(kw):
+            tap = xp[:, :, ky:ky + (oh - 1) * stride + 1:stride,
+                     kx:kx + (ow - 1) * stride + 1:stride]
+            term = tap * weight[:, 0, ky, kx].reshape(1, c, 1, 1)
+            acc = term if acc is None else acc + term
+    return acc + bias.reshape(1, c, 1, 1)
+
+
+@pytest.mark.parametrize("stride,padding", [(1, 1), (2, 1), (2, 0)])
+def test_depthwise_in_place_matches_allocating_bitwise(stride, padding):
+    c = 6
+    x = rand((2, c, 9, 8), seed=25)
+    spec = ConvSpec(c, c, (3, 3), stride=stride, padding=padding, groups=c)
+    w = rand(spec.weight_shape(), seed=26)
+    b = rand((c,), seed=27)
+    x0, w0, b0 = x.copy(), w.copy(), b.copy()
+    got = conv2d(x, spec, w, b)
+    assert np.array_equal(got, _depthwise_allocating(x, w, b, stride, padding))
+    assert np.array_equal(x, x0) and np.array_equal(w, w0) and np.array_equal(b, b0)
+
+
+def test_batchnorm_in_place_matches_allocating_bitwise():
+    c = 5
+    x = rand((2, c, 4, 6), seed=28)
+    rng = np.random.default_rng(29)
+    gamma = rng.uniform(0.5, 1.5, c).astype(np.float32)
+    beta = rng.normal(0.0, 0.2, c).astype(np.float32)
+    mean = rng.normal(0.0, 0.2, c).astype(np.float32)
+    var = rng.uniform(0.5, 1.5, c).astype(np.float32)
+    saved = [a.copy() for a in (x, gamma, beta, mean, var)]
+    got = batchnorm_infer(x, gamma, beta, mean, var, eps=1e-5)
+    scale = (gamma / np.sqrt(var + 1e-5)).astype(np.float32).reshape(1, c, 1, 1)
+    want = (x - mean.reshape(1, c, 1, 1)) * scale + beta.reshape(1, c, 1, 1)
+    assert np.array_equal(got, want)
+    for before, after in zip(saved, (x, gamma, beta, mean, var)):
+        assert np.array_equal(before, after)
 
 
 # ----------------------------------------------------- concat and elementwise
