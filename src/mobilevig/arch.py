@@ -83,7 +83,8 @@ def _trunc_normal(rng: np.random.Generator, shape: tuple[int, ...],
     while mask.any():
         vals[mask] = rng.standard_normal(int(mask.sum()))
         mask = np.abs(vals) > INIT_BOUND
-    return (vals * std).astype(np.float32)
+    vals *= std
+    return vals.astype(np.float32)
 
 
 def _init_conv_bn(rng: np.random.Generator, spec: ConvSpec) -> ConvBn:

@@ -13,6 +13,7 @@ import json
 import platform
 import time
 from dataclasses import asdict, dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -78,43 +79,47 @@ def _shared_projection(c: int, seed: int) -> ConvBn:
                   zeros, ones, zeros.copy(), zeros.copy(), ones.copy())
 
 
+def aggregation_step(mechanism: str, h: int, w: int, c: int, k: int,
+                     batch: int = 1, include_projection: bool = False,
+                     seed: int = 0) -> Callable[[], np.ndarray]:
+    """The operation time_aggregation times, on its seeded input."""
+    if mechanism not in ("svga", "knn"):
+        raise ValueError(f"unknown mechanism {mechanism!r}")
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((batch, c, h, w)).astype(np.float32)
+    proj = _shared_projection(c, seed) if include_projection else None
+    if mechanism == "svga":
+        if include_projection:
+            return lambda: mrconv_roll(x, k, proj)
+        return lambda: mrconv_aggregate(x, k)
+    if include_projection:
+        return lambda: mrconv_knn(x, knn_graph(x, k), proj)
+    return lambda: knn_aggregate(x, knn_graph(x, k))
+
+
+def time_once_ns(step: Callable[[], object]) -> int:
+    t0 = time.perf_counter_ns()
+    step()
+    return time.perf_counter_ns() - t0
+
+
+def percentiles_ns(times) -> tuple[int, int, int]:
+    """(median, p10, p90) of the samples, each one of the samples."""
+    return tuple(int(np.percentile(times, q, method="nearest")) for q in (50, 10, 90))
+
+
 def time_aggregation(mechanism: str, h: int, w: int, c: int, k: int,
                      batch: int = 1, reps: int = 100, warmup: int = 10,
                      include_projection: bool = False, seed: int = 0) -> BenchRecord:
-    if mechanism not in ("svga", "knn"):
-        raise ValueError(f"unknown mechanism {mechanism!r}")
     if reps < MIN_REPS:
         raise ValueError(f"reps must be >= {MIN_REPS}, got {reps}")
     if warmup < MIN_WARMUP:
         raise ValueError(f"warmup must be >= {MIN_WARMUP}, got {warmup}")
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((batch, c, h, w)).astype(np.float32)
-    proj = _shared_projection(c, seed) if include_projection else None
-
-    if mechanism == "svga":
-        if include_projection:
-            def step():
-                return mrconv_roll(x, k, proj)
-        else:
-            def step():
-                return mrconv_aggregate(x, k)
-    else:
-        if include_projection:
-            def step():
-                return mrconv_knn(x, knn_graph(x, k), proj)
-        else:
-            def step():
-                return knn_aggregate(x, knn_graph(x, k))
-
+    step = aggregation_step(mechanism, h, w, c, k, batch, include_projection, seed)
     for _ in range(warmup):
         step()
-    times = np.empty(reps, dtype=np.int64)
-    for i in range(reps):
-        t0 = time.perf_counter_ns()
-        step()
-        times[i] = time.perf_counter_ns() - t0
-    med, p10, p90 = (int(np.percentile(times, q, method="nearest"))
-                     for q in (50, 10, 90))
+    times = [time_once_ns(step) for _ in range(reps)]
+    med, p10, p90 = percentiles_ns(times)
     return BenchRecord(mechanism=mechanism, h=h, w=w, c=c, k=k, batch=batch,
                        reps=reps, median_ns=med, p10_ns=p10, p90_ns=p90)
 

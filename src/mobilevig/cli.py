@@ -22,11 +22,8 @@ def _positive_int(value: str) -> int:
 
 
 def _size_pair(value: str) -> tuple[int, int]:
-    if "x" in value:
-        h, w = value.split("x", 1)
-        return int(h), int(w)
-    n = int(value)
-    return n, n
+    h, w = value.split("x", 1) if "x" in value else (value, value)
+    return _positive_int(h), _positive_int(w)
 
 
 def _default_seed() -> int:
@@ -71,7 +68,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("forward", help="run a model forward pass")
     p.add_argument("--variant", required=True)
-    p.add_argument("--size", type=_positive_int, default=224)
+    p.add_argument("--size", type=_positive_int, default=None,
+                   help="input size for a random input (default 224); with --input "
+                        "FILE, the size the image must have")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--input", default="random",
                    help="'random' or a path to a binary PPM (P6) image")
@@ -213,24 +212,28 @@ def _cmd_forward(args) -> int:
 
     cfg = get_variant(args.variant)
     seed = args.seed if args.seed is not None else _default_seed()
-    if args.load_path:
-        weights = load_into_model(args.load_path, cfg)
-    else:
-        weights = build_model(cfg, seed)
-    if args.save_path:
-        save_weights(args.save_path, weights)
-
     if args.input == "random":
-        size = args.size
+        size = 224 if args.size is None else args.size
         if size % 32:
             raise ValueError(f"input size must be divisible by 32, got {size}")
         rng = np.random.default_rng([seed, 1])
         x = rng.standard_normal((1, 3, size, size)).astype(np.float32)
     else:
         x = load_ppm(args.input)
+        if args.size is not None and x.shape[2:] != (args.size, args.size):
+            raise ValueError(f"image is {x.shape[2]}x{x.shape[3]}, "
+                             f"--size expects {args.size}x{args.size}")
         if x.shape[2] % 32 or x.shape[3] % 32:
             raise ValueError(
                 f"image dims {x.shape[2]}x{x.shape[3]} must be divisible by 32")
+
+    # the input is checked before any weights are built, loaded or saved
+    if args.load_path:
+        weights = load_into_model(args.load_path, cfg)
+    else:
+        weights = build_model(cfg, seed)
+    if args.save_path:
+        save_weights(args.save_path, weights)
 
     logits = model_forward(x, weights, cfg)
     top = np.argsort(-logits[0], kind="stable")[:5]

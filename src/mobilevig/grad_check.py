@@ -8,12 +8,17 @@ strictly greater operand; ties go to the accumulated value, which entered
 the fold earlier), channel concat (split), 1x1 convolution, inference batch
 norm treated as a per-channel affine map, and the exact GeLU derivative.
 The reference side is a central difference of the scalar loss sum(output).
+With identity activations the block is built from additions, products and
+max folds only, so that loss is evaluated exactly, on dyadic rationals
+(every float64 is one); the difference quotient then carries no rounding
+noise, however small the gradient entry.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -23,7 +28,7 @@ from .svga import (
     SvgaBlockWeights,
     svga_block_forward,
 )
-from .tensor_core import Array, ConvBn, ConvSpec, batchnorm_infer, conv2d, gelu, gelu_grad, roll_2d
+from .tensor_core import Array, ConvBn, ConvSpec, conv2d, conv_bn, gelu, gelu_grad, roll_2d
 
 
 class GradCheckError(RuntimeError):
@@ -47,9 +52,10 @@ def _bn_scale(p: ConvBn) -> Array:
 
 
 def _conv_bn_tape(x: Array, p: ConvBn, name: str, tape: _Tape) -> Array:
-    pre = conv2d(x, p.spec, p.weight, p.bias)
-    tape.conv_bn[name] = (x, pre)
-    return batchnorm_infer(pre, p.gamma, p.beta, p.mean, p.var, p.eps)
+    # the output comes from conv_bn, as in the block forward, so the two
+    # agree bitwise; the unfolded conv output is kept for the gamma gradient
+    tape.conv_bn[name] = (x, conv2d(x, p.spec, p.weight, p.bias))
+    return conv_bn(x, p)
 
 
 def _conv_bn_backward(g: Array, p: ConvBn, name: str, tape: _Tape,
@@ -66,12 +72,14 @@ def _conv_bn_backward(g: Array, p: ConvBn, name: str, tape: _Tape,
     return np.einsum("nohw,oi->nihw", g_pre, wmat)
 
 
+def _fold_shifts(h: int, w: int, k: int) -> list[tuple[int, int]]:
+    return [(m * k, 0) for m in range(0, -(-h // k))] + \
+           [(0, m * k) for m in range(0, -(-w // k))]
+
+
 def _aggregate_tape(x: Array, k: int, tape: _Tape) -> Array:
-    h, w = x.shape[2], x.shape[3]
     xj = np.zeros_like(x)
-    shifts = [(m * k, 0) for m in range(0, -(-h // k))] + \
-             [(0, m * k) for m in range(0, -(-w // k))]
-    for down, right in shifts:
+    for down, right in _fold_shifts(x.shape[2], x.shape[3], k):
         cand = x - roll_2d(x, down, right)
         tape.folds.append((down, right, cand, xj))
         if (down, right) != (0, 0):
@@ -152,6 +160,51 @@ def _backward_tape(tape: _Tape, w: SvgaBlockWeights, identity_act: bool,
     return grads
 
 
+# A value m / 2**s, m an object array of Python ints. Sums, differences,
+# products and max of such values are exact.
+_Exact = tuple[Array, int]
+
+
+def _exact(a: Array) -> _Exact:
+    ratios = [v.as_integer_ratio() for v in np.asarray(a, np.float64).ravel().tolist()]
+    s = max(d.bit_length() - 1 for _, d in ratios)  # every d is a power of two
+    m = np.empty(len(ratios), dtype=object)
+    m[:] = [n << (s - d.bit_length() + 1) for n, d in ratios]
+    return m.reshape(np.shape(a)), s
+
+
+def _exact_add(a: _Exact, b: _Exact) -> _Exact:
+    s = max(a[1], b[1])
+    return a[0] * (1 << (s - a[1])) + b[0] * (1 << (s - b[1])), s
+
+
+def _exact_conv_bn(x: _Exact, p: ConvBn) -> _Exact:
+    # (W x + bias - mean) * scale + beta, with scale the float64 _bn_scale(p)
+    n, c, h, w = x[0].shape
+    wm, sw = _exact(p.weight[:, :, 0, 0])
+    pre = (np.matmul(wm, x[0].reshape(n, c, h * w)).reshape(n, -1, h, w), sw + x[1])
+
+    def per_channel(v: Array) -> _Exact:
+        return _exact(v.reshape(1, -1, 1, 1))
+
+    pre = _exact_add(_exact_add(pre, per_channel(p.bias)), per_channel(-p.mean))
+    scale = per_channel(_bn_scale(p))
+    return _exact_add((pre[0] * scale[0], pre[1] + scale[1]), per_channel(p.beta))
+
+
+def _exact_identity_loss(x: Array, w: SvgaBlockWeights) -> Fraction:
+    """sum(block(x)) with identity activations, without rounding."""
+    xe = _exact(x)
+    t1 = _exact_conv_bn(xe, w.grapher.w_in)
+    xj = np.zeros_like(t1[0])
+    for down, right in _fold_shifts(x.shape[2], x.shape[3], w.k):
+        xj = np.maximum(t1[0] - roll_2d(t1[0], down, right), xj)
+    t3 = _exact_conv_bn((np.concatenate([t1[0], xj], axis=1), t1[1]), w.grapher.proj)
+    y = _exact_add(_exact_conv_bn(t3, w.grapher.w_out), xe)
+    z = _exact_add(_exact_conv_bn(_exact_conv_bn(y, w.ffn.w1), w.ffn.w2), y)
+    return Fraction(int(z[0].sum()), 1 << z[1])
+
+
 def _random_conv_bn(rng: np.random.Generator, in_c: int, out_c: int,
                     dtype=np.float64) -> ConvBn:
     spec = ConvSpec(in_c, out_c, (1, 1))
@@ -227,16 +280,10 @@ def grad_check_svga(shape: tuple[int, int, int, int] = (1, 4, 4, 4), k: int = 2,
             if not np.all(np.isfinite(g)):
                 raise GradCheckError(f"non-finite gradient for {name}")
 
-        def loss() -> np.floating:
+        def loss() -> Fraction | np.floating:
             if identity_act:
-                # extended precision kills the cancellation noise of the
-                # difference quotient, so the sum stays in it until the
-                # quotient is formed; the identity path needs no erf, so
-                # every kernel supports it
-                out, _ = _forward_tape(x.astype(np.longdouble), weights, True)
-            else:
-                out = svga_block_forward(x, weights)
-            return np.sum(out)
+                return _exact_identity_loss(x, weights)
+            return np.sum(svga_block_forward(x, weights))
 
         max_rel = 0.0
         for name, arr in [("x", x)] + _named_weight_arrays(weights):

@@ -5,10 +5,18 @@ All kernels are pure functions of numpy arrays. The main path is float32;
 float64 inputs are supported (needed by the gradient checker). Every kernel
 computes each output element with an operation sequence that does not depend
 on the element's position or on how many other elements are in the call:
-elementwise ops are exactly rounded per element, and matrix contractions are
-evaluated one output pixel at a time. As a consequence results are bitwise
+elementwise ops are exactly rounded per element, and a dense convolution is
+one GEMM per fixed-width chunk of output pixels of one image, the last chunk
+zero-padded to the full width, so every BLAS call of a layer has the same
+shape whatever the image size or batch. As a consequence results are bitwise
 reproducible and invariant under pixel permutation or batch repacking, which
-the graph-equivalence and equivariance checks in this package rely on.
+the graph-equivalence and equivariance checks in this package rely on. The
+chunked GEMM's invariance is a property of the BLAS build (each output column
+is reduced in the same order wherever it sits in a chunk), not a guarantee of
+the BLAS interface; the tests check it bitwise.
+
+`conv_bn` folds inference batch norm into the conv weights and bias on every
+call, so a conv and its batch norm cost one pass over the output.
 """
 
 from __future__ import annotations
@@ -16,13 +24,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import erf
 
 Array = np.ndarray
 
 _INV_SQRT2 = 0.7071067811865476
 _INV_SQRT2PI = 0.3989422804014327
+
+# output pixels per GEMM call of a dense conv; fixed, never derived from the
+# pixel count, so that a pixel's result does not depend on the image size
+_CHUNK = 64
 
 
 def _f32(v: float) -> Array:
@@ -103,28 +114,47 @@ def roll_2d(x: Array, down: int, right: int) -> Array:
     return np.roll(x, (down, right), axis=(2, 3))
 
 
-def _matvec_per_pixel(weight_mat: Array, cols: Array) -> Array:
-    # cols: (pixels, K); weight_mat: (out_c, K). One matvec per pixel keeps
-    # the per-element reduction order independent of pixel position/count.
-    out_c = weight_mat.shape[0]
-    if out_c == 1:
-        acc = cols[:, 0] * weight_mat[0, 0]
-        for k in range(1, weight_mat.shape[1]):
-            acc = acc + cols[:, k] * weight_mat[0, k]
-        return acc[:, None]
-    return np.matmul(weight_mat, cols[:, :, None])[:, :, 0]
+def _gemm_chunked(wmat: Array, cols: Array, out: Array) -> None:
+    # out(oc, P) = wmat(oc, K) @ cols(K, P) as one GEMM per _CHUNK columns:
+    # the full chunks in one batched matmul over strided views, the last
+    # partial chunk zero-padded to the full width
+    k, p = cols.shape
+    if wmat.shape[0] == 1:
+        # elementwise, in the same order for every pixel
+        acc = cols[0] * wmat[0, 0]
+        for i in range(1, k):
+            acc = acc + cols[i] * wmat[0, i]
+        out[0] = acc
+        return
+    full = p - p % _CHUNK
+    if full:
+        np.matmul(wmat, cols[:, :full].reshape(k, -1, _CHUNK).transpose(1, 0, 2),
+                  out=out[:, :full].reshape(out.shape[0], -1, _CHUNK).transpose(1, 0, 2))
+    if full < p:
+        pad = np.zeros((k, _CHUNK), dtype=cols.dtype)
+        pad[:, :p - full] = cols[:, full:]
+        out[:, full:] = (wmat @ pad)[:, :p - full]
 
 
 def _conv_dense(xp: Array, weight: Array, bias: Array, stride: int,
                 oh: int, ow: int) -> Array:
-    n = xp.shape[0]
+    n, c = xp.shape[:2]
     oc, _, kh, kw = weight.shape
-    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    # (n, c, oh, ow, kh, kw) -> (n*oh*ow, c*kh*kw), reduction axis ordered
-    # channel-major then kernel row-major
-    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(n * oh * ow, -1)
-    out = _matvec_per_pixel(weight.reshape(oc, -1), cols) + bias
-    return np.ascontiguousarray(out.reshape(n, oh, ow, oc).transpose(0, 3, 1, 2))
+    p = oh * ow
+    wmat = weight.reshape(oc, -1)  # reduction axis: channel-major, then kernel row-major
+    out = np.empty((n, oc, oh, ow), dtype=xp.dtype)
+    # a 1x1 stride-1 conv reads each image as is; others through an im2col buffer
+    cols = None if kh == kw == stride == 1 else np.empty((c, kh, kw, oh, ow), dtype=xp.dtype)
+    for i in range(n):
+        if cols is not None:
+            for ky in range(kh):
+                for kx in range(kw):
+                    cols[:, ky, kx] = xp[i, :, ky:ky + (oh - 1) * stride + 1:stride,
+                                         kx:kx + (ow - 1) * stride + 1:stride]
+        x_cols = xp[i].reshape(c, p) if cols is None else cols.reshape(-1, p)
+        _gemm_chunked(wmat, x_cols, out[i].reshape(oc, p))
+    out += bias.reshape(1, oc, 1, 1)
+    return out
 
 
 def _conv_depthwise(xp: Array, weight: Array, bias: Array, stride: int,
@@ -178,14 +208,18 @@ def conv2d(x: Array, spec: ConvSpec, weight: Array, bias: Array) -> Array:
     return np.concatenate(parts, axis=1)
 
 
+def _check_bn(c: int, gamma: Array, beta: Array, mean: Array, var: Array) -> None:
+    for name, v in (("gamma", gamma), ("beta", beta), ("mean", mean), ("var", var)):
+        _require(np.shape(v) == (c,), f"{name} must have shape ({c},)")
+    _require(bool(np.all(np.asarray(var) >= 0)), "var must be non-negative")
+
+
 def batchnorm_infer(x: Array, gamma: Array, beta: Array, mean: Array,
                     var: Array, eps: float = 1e-5) -> Array:
     """Inference batch norm: gamma * (x - mean) / sqrt(var + eps) + beta."""
     _check_nchw(x)
     c = x.shape[1]
-    for name, v in (("gamma", gamma), ("beta", beta), ("mean", mean), ("var", var)):
-        _require(np.shape(v) == (c,), f"{name} must have shape ({c},)")
-    _require(bool(np.all(np.asarray(var) >= 0)), "var must be non-negative")
+    _check_bn(c, gamma, beta, mean, var)
     scale = (gamma / np.sqrt(var + eps)).astype(x.dtype)
     shift = np.asarray(beta, dtype=x.dtype)
     center = np.asarray(mean, dtype=x.dtype)
@@ -314,8 +348,23 @@ class ConvBn:
 
 
 def conv_bn(x: Array, p: ConvBn) -> Array:
-    y = conv2d(x, p.spec, p.weight, p.bias)
-    return batchnorm_infer(y, p.gamma, p.beta, p.mean, p.var, p.eps)
+    """conv2d then batchnorm_infer, with the batch norm folded into the conv.
+
+    The folded weight is weight * scale and the folded bias is
+    (bias - mean) * scale + beta, with scale = gamma / sqrt(var + eps), all
+    computed in x's dtype on every call: the result tracks any in-place
+    change to p's arrays. It equals the unfolded pair up to rounding.
+    """
+    c = p.spec.out_channels
+    _require(np.shape(p.weight) == p.spec.weight_shape() and np.shape(p.bias) == (c,),
+             f"weight/bias shapes {np.shape(p.weight)}, {np.shape(p.bias)} do not "
+             f"match {p.spec.weight_shape()}, ({c},)")
+    _check_bn(c, p.gamma, p.beta, p.mean, p.var)
+    dt = x.dtype
+    scale = np.asarray(p.gamma, dt) / np.sqrt(np.asarray(p.var, dt) + p.eps)
+    weight = np.asarray(p.weight, dt) * scale.reshape(-1, 1, 1, 1)
+    bias = (np.asarray(p.bias, dt) - np.asarray(p.mean, dt)) * scale + np.asarray(p.beta, dt)
+    return conv2d(x, p.spec, weight, bias)
 
 
 def identity_conv_bn(spec: ConvSpec, weight: Array, bias: Array | None = None,

@@ -10,6 +10,8 @@ Round-trips are bitwise lossless for float32 arrays.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 
 import numpy as np
@@ -43,35 +45,61 @@ def save_weights(path: str, weights: ModelWeights) -> None:
             f.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
 
 
-def _read_exact(f, n: int) -> bytes:
-    buf = f.read(n)
-    if len(buf) != n:
-        raise WeightsFormatError("truncated weights file")
-    return buf
+class _Reader:
+    """Reads a weights file, checking every length against the bytes left
+    before reading, so a corrupt length fails fast instead of asking for up
+    to 16 GiB."""
+
+    def __init__(self, f, path: str) -> None:
+        self.f = f
+        self.path = path
+        self.left = os.fstat(f.fileno()).st_size
+
+    def read(self, n: int, what: str) -> bytes:
+        if n > self.left:
+            raise WeightsFormatError(
+                f"{self.path}: {what} needs {n} bytes, only {self.left} left "
+                f"(truncated or corrupt file)")
+        buf = self.f.read(n)
+        if len(buf) != n:
+            raise WeightsFormatError(f"{self.path}: truncated weights file")
+        self.left -= n
+        return buf
+
+    def u32(self, what: str) -> int:
+        return struct.unpack("<I", self.read(4, what))[0]
+
+    def text(self, what: str) -> str:
+        raw = self.read(self.u32(f"{what} length"), what)
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise WeightsFormatError(f"{self.path}: {what} is not valid utf-8") from None
 
 
 def load_weights(path: str) -> tuple[str, dict[str, Array]]:
     """Reads a weights file into (variant name, name -> float32 array)."""
     with open(path, "rb") as f:
-        if _read_exact(f, 4) != MAGIC:
+        r = _Reader(f, path)
+        if r.read(4, "magic") != MAGIC:
             raise WeightsFormatError(f"{path}: not a MVIG weights file (bad magic)")
-        (version,) = struct.unpack("<I", _read_exact(f, 4))
+        version = r.u32("version")
         if version != VERSION:
             raise WeightsFormatError(
                 f"{path}: unsupported format version {version} (expected {VERSION})")
-        (nlen,) = struct.unpack("<I", _read_exact(f, 4))
-        variant = _read_exact(f, nlen).decode("utf-8")
-        (count,) = struct.unpack("<I", _read_exact(f, 4))
+        variant = r.text("variant name")
+        count = r.u32("entry count")
         out: dict[str, Array] = {}
         for _ in range(count):
-            (nlen,) = struct.unpack("<I", _read_exact(f, 4))
-            name = _read_exact(f, nlen).decode("utf-8")
-            (rank,) = struct.unpack("<I", _read_exact(f, 4))
-            shape = struct.unpack(f"<{rank}I", _read_exact(f, 4 * rank))
-            size = int(np.prod(shape, dtype=np.int64)) if rank else 1
-            data = np.frombuffer(_read_exact(f, 4 * size), dtype="<f4")
-            out[name] = data.reshape(shape).astype(np.float32, copy=True)
-        if f.read(1):
+            name = r.text("entry name")
+            rank = r.u32(f"rank of {name!r}")
+            shape = struct.unpack(f"<{rank}I", r.read(4 * rank, f"dims of {name!r}"))
+            data = np.frombuffer(r.read(4 * math.prod(shape), f"data of {name!r}"), dtype="<f4")
+            try:
+                out[name] = data.reshape(shape).astype(np.float32, copy=True)
+            except ValueError as exc:  # a zero dim beside dims numpy cannot index
+                raise WeightsFormatError(f"{path}: entry {name!r}: {exc}") from None
+        if r.left:
             raise WeightsFormatError(f"{path}: trailing bytes after last entry")
     return variant, out
 

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from mobilevig.arch import (
+    INIT_BOUND,
+    INIT_STD,
     VARIANTS,
     MbconvWeights,
     build_model,
@@ -16,6 +18,7 @@ from mobilevig.arch import (
     model_forward_with_stages,
     named_params,
     stem_forward,
+    _trunc_normal,
 )
 from mobilevig.tensor_core import ConvSpec, identity_conv_bn
 
@@ -266,3 +269,17 @@ def test_model_forward_input_validation():
 def test_get_variant_error():
     with pytest.raises(ValueError):
         get_variant("XL")
+
+
+def test_trunc_normal_in_place_scale_matches_allocating_bitwise():
+    shape = (300, 70)
+    got = _trunc_normal(np.random.default_rng(3), shape)
+    rng = np.random.default_rng(3)
+    vals = rng.standard_normal(shape)
+    mask = np.abs(vals) > INIT_BOUND
+    while mask.any():
+        vals[mask] = rng.standard_normal(int(mask.sum()))
+        mask = np.abs(vals) > INIT_BOUND
+    want = (vals * INIT_STD).astype(np.float32)
+    assert got.dtype == np.float32
+    assert np.array_equal(got, want)

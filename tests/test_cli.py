@@ -1,6 +1,8 @@
 import json
+import struct
 
 import numpy as np
+import pytest
 
 from mobilevig.cli import load_ppm, main
 
@@ -71,12 +73,37 @@ def test_bench_rejects_low_reps(capsys):
     assert "reps" in capsys.readouterr().err
 
 
-def test_bench_median_stable_when_reps_double():
-    from mobilevig.bench import time_aggregation
+@pytest.mark.parametrize("size", ["0", "-3", "7x0", "0x7", "7x-2"])
+def test_bench_rejects_nonpositive_size(capsys, size):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--size", size, "--channels", "4"])
+    assert exc.value.code == 2
+    assert "--size" in capsys.readouterr().err
 
-    first = time_aggregation("knn", 14, 14, 64, 9, reps=30, warmup=5, seed=2)
-    doubled = time_aggregation("knn", 14, 14, 64, 9, reps=60, warmup=5, seed=2)
-    assert first.p10_ns <= doubled.median_ns <= first.p90_ns
+
+def test_bench_median_stable_when_reps_double(run_with_blas_threads):
+    # measured in a process with BLAS on one thread, as under `mobilevig
+    # bench`; the 30-rep and the 60-rep measurement of time_aggregation's
+    # operation are interleaved after a warm-up, so drift in the host's speed
+    # over the run reaches both alike
+    out = run_with_blas_threads("""
+import json
+from mobilevig.bench import aggregation_step, percentiles_ns, time_once_ns
+
+step = aggregation_step("knn", 14, 14, 64, 9, seed=2)
+for _ in range(5):
+    step()
+first_times, doubled_times = [], []
+for i in range(60):
+    doubled_times.append(time_once_ns(step))
+    if i % 2:
+        first_times.append(time_once_ns(step))
+_, first_p10, first_p90 = percentiles_ns(first_times)
+doubled_median, _, _ = percentiles_ns(doubled_times)
+print(json.dumps([first_p10, doubled_median, first_p90]))
+""", threads=1)
+    first_p10, doubled_median, first_p90 = json.loads(out)
+    assert first_p10 <= doubled_median <= first_p90
 
 
 def test_verify_failure_exits_one(capsys, monkeypatch):
@@ -126,6 +153,24 @@ def test_forward_rejects_corrupt_weights(capsys, tmp_path):
     assert "magic" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("corrupt", ["name_length", "truncated"])
+def test_forward_rejects_malformed_weights(capsys, tmp_path, corrupt):
+    from mobilevig.arch import VARIANTS, build_model
+    from mobilevig.weights_io import save_weights
+
+    path = tmp_path / "ti.mvig"
+    save_weights(str(path), build_model(VARIANTS["Ti"], 0))
+    data = bytearray(path.read_bytes())
+    if corrupt == "name_length":
+        data[18:22] = struct.pack("<I", 0xFFFFFFFF)  # first entry's name length
+    else:
+        del data[len(data) // 3:]
+    path.write_bytes(bytes(data))
+    rc = main(["forward", "--variant", "Ti", "--size", "64", "--load", str(path)])
+    assert rc == 2
+    _assert_one_error_line(capsys, "ti.mvig")
+
+
 def _write_ppm(path, w, h):
     rng = np.random.default_rng(0)
     pixels = rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8)
@@ -150,6 +195,19 @@ def test_forward_accepts_ppm(capsys, tmp_path):
     rc = main(["forward", "--variant", "Ti", "--input", str(path), "--seed", "0"])
     assert rc == 0
     assert "top1" in capsys.readouterr().out
+
+
+def test_forward_ppm_checks_explicit_size(capsys, tmp_path):
+    path = tmp_path / "img.ppm"
+    _write_ppm(str(path), 64, 64)
+    saved = tmp_path / "ti.mvig"
+    rc = main(["forward", "--variant", "Ti", "--input", str(path), "--size", "96",
+               "--save", str(saved)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "64x64" in err and "--size" in err
+    assert not saved.exists()
+    assert main(["forward", "--variant", "Ti", "--input", str(path), "--size", "64"]) == 0
 
 
 def test_forward_rejects_misaligned_ppm(capsys, tmp_path):

@@ -23,10 +23,28 @@ def test_linear_subnetwork_is_near_exact():
 
 
 def test_linear_subnetwork_seed_6_within_suite_tolerance():
-    # the difference quotient is formed in extended precision; rounding the
-    # loss to float64 first put this seed at 7e-8
+    # a float64 difference quotient reaches 7e-8 here from rounding alone
     err = grad_check_svga((1, 4, 4, 4), k=2, seed=6, identity_act=True)
     assert err < GRAD_LINEAR_TOL, f"max relative error {err}"
+
+
+def test_linear_subnetwork_seed_11_within_suite_tolerance():
+    # its worst entry has a gradient of 1.5e-5, so small that a longdouble
+    # difference quotient reaches 1.5e-8 relative from rounding alone
+    err = grad_check_svga((1, 4, 4, 4), k=2, seed=11, identity_act=True)
+    assert err < GRAD_LINEAR_TOL, f"max relative error {err}"
+
+
+def test_exact_identity_loss_matches_float_forward():
+    rng = np.random.default_rng(5)
+    w = random_block_weights(4, 2, rng)
+    x = rng.normal(size=(1, 4, 5, 3))
+    z, _ = gc._forward_tape(x, w, identity_act=True)
+    exact = gc._exact_identity_loss(x, w)
+    assert float(exact) == pytest.approx(float(np.sum(z)), rel=1e-12)
+    # exact: a change far below float64 resolution of the loss still shows
+    x[0, 1, 2, 0] += 2.0 ** -40
+    assert gc._exact_identity_loss(x, w) != exact
 
 
 def test_element_budget_enforced():

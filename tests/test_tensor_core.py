@@ -5,10 +5,13 @@ import pytest
 from scipy.special import erf as scipy_erf
 
 from mobilevig.tensor_core import (
+    _CHUNK,
+    ConvBn,
     ConvSpec,
     batchnorm_infer,
     concat_channels,
     conv2d,
+    conv_bn,
     elem_add,
     elem_max,
     elem_sub,
@@ -164,6 +167,175 @@ def test_conv_shape_errors():
         conv2d(x, spec3, rand((2, 3, 3, 3)), np.zeros(2, np.float32))
     with pytest.raises(ValueError):
         ConvSpec(3, 2, (1, 1), groups=2)  # in_channels not divisible
+
+
+# Pixel grids below, at and above the GEMM chunk width, and not multiples of it.
+_INVARIANCE_GRIDS = [(5, 7), (8, 8), (9, 11), (16, 20)]
+_INVARIANCE_SPECS = [ConvSpec(96, 40, (1, 1)),
+                     ConvSpec(24, 36, (3, 3), stride=2, padding=1)]
+
+
+def _out_pixels(h, w, spec):
+    oh, ow = spec.out_size(h, w)
+    return oh * ow
+
+
+def test_invariance_grids_straddle_the_chunk_width():
+    counts = {_out_pixels(h, w, spec) for h, w in _INVARIANCE_GRIDS
+              for spec in _INVARIANCE_SPECS}
+    assert min(counts) < _CHUNK and _CHUNK in counts
+    assert any(n > _CHUNK and n % _CHUNK for n in counts)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("spec", _INVARIANCE_SPECS, ids=["1x1", "3x3s2p1"])
+@pytest.mark.parametrize("h,w", _INVARIANCE_GRIDS)
+def test_dense_conv_bitwise_under_sub_batching(h, w, spec, dtype):
+    rng = np.random.default_rng([h, w, spec.kernel[0]])
+    x = rng.standard_normal((2, spec.in_channels, h, w)).astype(dtype)
+    wgt = rng.standard_normal(spec.weight_shape()).astype(dtype)
+    b = rng.standard_normal(spec.out_channels).astype(dtype)
+    both = conv2d(x, spec, wgt, b)
+    for i in range(2):
+        assert np.array_equal(conv2d(x[i:i + 1], spec, wgt, b), both[i:i + 1])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("h,w", _INVARIANCE_GRIDS[:-1])
+def test_dense_1x1_conv_bitwise_on_pixel_subsets(h, w, dtype):
+    # a 1x1 conv commutes with cropping: the pixels of a crop give the same
+    # bits alone as inside the larger image
+    spec = _INVARIANCE_SPECS[0]
+    big_h, big_w = _INVARIANCE_GRIDS[-1]
+    rng = np.random.default_rng([h, w, 1])
+    x = rng.standard_normal((1, spec.in_channels, big_h, big_w)).astype(dtype)
+    wgt = rng.standard_normal(spec.weight_shape()).astype(dtype)
+    b = rng.standard_normal(spec.out_channels).astype(dtype)
+    crop = np.ascontiguousarray(x[:, :, 3:3 + h, 5:5 + w])
+    assert np.array_equal(conv2d(crop, spec, wgt, b),
+                          conv2d(x, spec, wgt, b)[:, :, 3:3 + h, 5:5 + w])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("h,w", _INVARIANCE_GRIDS)
+def test_dense_1x1_conv_bitwise_under_pixel_permutation(h, w, dtype):
+    spec = _INVARIANCE_SPECS[0]
+    rng = np.random.default_rng([h, w])
+    x = rng.standard_normal((1, spec.in_channels, h, w)).astype(dtype)
+    wgt = rng.standard_normal(spec.weight_shape()).astype(dtype)
+    b = rng.standard_normal(spec.out_channels).astype(dtype)
+    perm = rng.permutation(h * w)
+    flat = conv2d(x, spec, wgt, b).reshape(spec.out_channels, -1)
+    moved = conv2d(x.reshape(spec.in_channels, -1)[:, perm].reshape(x.shape), spec, wgt, b)
+    assert np.array_equal(moved.reshape(spec.out_channels, -1), flat[:, perm])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("h,w", _INVARIANCE_GRIDS)
+def test_dense_3x3_conv_bitwise_under_pixel_permutation(h, w, dtype):
+    # a stride-2 conv sees the image through windows; permuting whole
+    # windows (each output pixel's 3x3 receptive field, as a column of the
+    # unfolded input) must permute the outputs and nothing else
+    spec = _INVARIANCE_SPECS[1]
+    rng = np.random.default_rng([h, w, 3])
+    x = rng.standard_normal((1, spec.in_channels, h, w)).astype(dtype)
+    wgt = rng.standard_normal(spec.weight_shape()).astype(dtype)
+    b = rng.standard_normal(spec.out_channels).astype(dtype)
+    oh, ow = spec.out_size(h, w)
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    # lay each window out as its own 3x3 tile of a (3*oh) x (3*ow) image, so a
+    # 3x3 stride-3 conv over the tiles computes the same outputs
+    tiles = np.stack([np.stack([xp[0, :, 2 * i:2 * i + 3, 2 * j:2 * j + 3]
+                                for j in range(ow)]) for i in range(oh)])
+    perm = rng.permutation(oh * ow)
+    tiles = tiles.reshape(oh * ow, spec.in_channels, 3, 3)[perm].reshape(
+        oh, ow, spec.in_channels, 3, 3)
+    tiled = tiles.transpose(2, 0, 3, 1, 4).reshape(1, spec.in_channels, 3 * oh, 3 * ow)
+    tile_spec = ConvSpec(spec.in_channels, spec.out_channels, (3, 3), stride=3)
+    moved = conv2d(np.ascontiguousarray(tiled), tile_spec, wgt, b)
+    flat = conv2d(x, spec, wgt, b).reshape(spec.out_channels, -1)
+    assert np.array_equal(moved.reshape(spec.out_channels, -1), flat[:, perm])
+
+
+def test_dense_conv_bitwise_with_two_blas_threads(run_with_blas_threads):
+    # the layers here are large enough for a multi-threaded BLAS to split
+    # each chunk's GEMM across threads; sub-batching and cropping must still
+    # give the same bits
+    out = run_with_blas_threads("""
+import numpy as np
+from mobilevig.tensor_core import ConvSpec, conv2d
+
+rng = np.random.default_rng(7)
+for spec, h, w in ((ConvSpec(256, 128, (1, 1)), 20, 19),
+                   (ConvSpec(64, 96, (3, 3), stride=2, padding=1), 30, 27)):
+    for dtype in (np.float32, np.float64):
+        x = rng.standard_normal((2, spec.in_channels, h, w)).astype(dtype)
+        wgt = rng.standard_normal(spec.weight_shape()).astype(dtype)
+        b = rng.standard_normal(spec.out_channels).astype(dtype)
+        both = conv2d(x, spec, wgt, b)
+        for i in range(2):
+            assert np.array_equal(conv2d(x[i:i + 1], spec, wgt, b), both[i:i + 1])
+        if spec.kernel == (1, 1):
+            crop = np.ascontiguousarray(x[:1, :, 2:13, 1:8])
+            assert np.array_equal(conv2d(crop, spec, wgt, b), both[:1, :, 2:13, 1:8])
+print("ok")
+""", threads=2)
+    assert out.strip() == "ok"
+
+
+def _random_conv_bn(spec, dtype, seed):
+    rng = np.random.default_rng(seed)
+    c = spec.out_channels
+    return ConvBn(
+        spec=spec,
+        weight=rng.normal(0.0, 0.4, spec.weight_shape()).astype(dtype),
+        bias=rng.normal(0.0, 0.1, c).astype(dtype),
+        gamma=rng.uniform(0.5, 1.5, c).astype(dtype),
+        beta=rng.normal(0.0, 0.2, c).astype(dtype),
+        mean=rng.normal(0.0, 0.2, c).astype(dtype),
+        var=rng.uniform(0.5, 1.5, c).astype(dtype))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("spec", [ConvSpec(6, 10, (1, 1)),
+                                  ConvSpec(5, 9, (3, 3), stride=2, padding=1),
+                                  ConvSpec(8, 8, (3, 3), padding=1, groups=8)],
+                         ids=["1x1", "3x3s2p1", "depthwise"])
+def test_conv_bn_matches_conv_then_batchnorm(spec, dtype):
+    p = _random_conv_bn(spec, dtype, 31)
+    x = rand((2, spec.in_channels, 9, 11), seed=32, dtype=dtype)
+    got = conv_bn(x, p)
+    want = batchnorm_infer(conv2d(x, spec, p.weight, p.bias),
+                           p.gamma, p.beta, p.mean, p.var, p.eps)
+    assert got.dtype == dtype
+    np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5 * float(np.abs(want).max()))
+
+
+def test_conv_bn_follows_in_place_weight_changes():
+    spec = ConvSpec(4, 6, (1, 1))
+    p = _random_conv_bn(spec, np.float64, 33)
+    x = rand((1, 4, 5, 5), seed=34, dtype=np.float64)
+    before = conv_bn(x, p)
+    p.weight[0, 0, 0, 0] += 1.0
+    p.gamma[1] *= 2.0
+    after = conv_bn(x, p)
+    want = batchnorm_infer(conv2d(x, spec, p.weight, p.bias),
+                           p.gamma, p.beta, p.mean, p.var, p.eps)
+    assert not np.array_equal(before, after)
+    np.testing.assert_allclose(after, want, rtol=1e-12, atol=1e-12)
+
+
+def test_conv_bn_rejects_bad_parameters():
+    spec = ConvSpec(4, 6, (1, 1))
+    x = rand((1, 4, 3, 3), seed=35)
+    p = _random_conv_bn(spec, np.float32, 36)
+    p.var[2] = -1.0
+    with pytest.raises(ValueError, match="var"):
+        conv_bn(x, p)
+    p = _random_conv_bn(spec, np.float32, 36)
+    p.weight = p.weight[:1]
+    with pytest.raises(ValueError, match="weight"):
+        conv_bn(x, p)
 
 
 # ---------------------------------------------------------------- batchnorm

@@ -116,3 +116,84 @@ def test_trailing_garbage_rejected(tmp_path):
         f.write(b"\x00")
     with pytest.raises(WeightsFormatError, match="trailing"):
         load_weights(str(path))
+
+
+# a small hand-made file: variant "Ti", entries "a" (2x3) and "b" (4,)
+_SMALL_ENTRIES = [("a", np.arange(6, dtype=np.float32).reshape(2, 3)),
+                  ("b", np.array([0.5, -1.0, 2.0, 3.5], np.float32))]
+_OFF_VARIANT_LEN = 8
+_OFF_NAME_LEN = 18    # first entry's name length
+_OFF_RANK = 23        # first entry's rank
+_OFF_DIM0 = 27        # first entry's first dim
+_HUGE = 0xFFFFFFFF
+
+
+def _small_file(tmp_path):
+    path = tmp_path / "small.mvig"
+    _write_raw(str(path), "Ti", _SMALL_ENTRIES)
+    return path
+
+
+def _patch_u32(path, offset, value):
+    data = bytearray(path.read_bytes())
+    data[offset:offset + 4] = struct.pack("<I", value)
+    path.write_bytes(bytes(data))
+
+
+def test_small_file_layout(tmp_path):
+    path = _small_file(tmp_path)
+    data = path.read_bytes()
+    assert struct.unpack_from("<I", data, _OFF_VARIANT_LEN)[0] == 2
+    assert data[_OFF_NAME_LEN + 4:_OFF_RANK] == b"a"
+    assert struct.unpack_from("<3I", data, _OFF_RANK) == (2, 2, 3)
+    variant, loaded = load_weights(str(path))
+    assert variant == "Ti"
+    for name, arr in _SMALL_ENTRIES:
+        assert np.array_equal(loaded[name], arr)
+
+
+def test_every_truncation_rejected(tmp_path):
+    data = _small_file(tmp_path).read_bytes()
+    cut = tmp_path / "cut.mvig"
+    for n in range(len(data)):
+        cut.write_bytes(data[:n])
+        with pytest.raises(WeightsFormatError):
+            load_weights(str(cut))
+
+
+@pytest.mark.parametrize("offset,value", [
+    (_OFF_VARIANT_LEN, _HUGE),
+    (_OFF_NAME_LEN, _HUGE),
+    (_OFF_RANK, _HUGE),
+    (_OFF_DIM0, _HUGE),          # dims product of 4 * 3 * (2^32 - 1) bytes
+    (_OFF_RANK, 40),             # rank larger than the file
+])
+def test_oversized_lengths_rejected_before_reading(tmp_path, offset, value):
+    path = _small_file(tmp_path)
+    _patch_u32(path, offset, value)
+    with pytest.raises(WeightsFormatError, match="left"):
+        load_weights(str(path))
+
+
+def test_dims_product_past_int64_rejected(tmp_path):
+    path = tmp_path / "wide.mvig"
+    with open(path, "wb") as f:
+        f.write(MAGIC + struct.pack("<II", VERSION, 2) + b"Ti" + struct.pack("<I", 1))
+        f.write(struct.pack("<I", 1) + b"a" + struct.pack("<4I", 3, _HUGE, _HUGE, _HUGE))
+        f.write(b"\x00" * 64)
+    with pytest.raises(WeightsFormatError, match="left"):
+        load_weights(str(path))
+
+
+def test_single_bit_flips_load_or_raise_format_error(tmp_path):
+    data = _small_file(tmp_path).read_bytes()
+    flipped = tmp_path / "flip.mvig"
+    for i in range(len(data)):
+        for bit in range(8):
+            mutated = bytearray(data)
+            mutated[i] ^= 1 << bit
+            flipped.write_bytes(bytes(mutated))
+            try:
+                load_weights(str(flipped))
+            except WeightsFormatError:
+                pass
