@@ -9,6 +9,8 @@ depths, widths and the SVGA connection stride live in VariantConfig.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -87,11 +89,11 @@ def _trunc_normal(rng: np.random.Generator, shape: tuple[int, ...],
     return vals.astype(np.float32)
 
 
-def _init_conv_bn(rng: np.random.Generator, spec: ConvSpec) -> ConvBn:
+def _init_conv_bn(draw: Callable[[tuple[int, ...]], Array], spec: ConvSpec) -> ConvBn:
     c = spec.out_channels
     return ConvBn(
         spec=spec,
-        weight=_trunc_normal(rng, spec.weight_shape()),
+        weight=draw(spec.weight_shape()),
         bias=np.zeros(c, dtype=np.float32),
         gamma=np.ones(c, dtype=np.float32),
         beta=np.zeros(c, dtype=np.float32),
@@ -101,52 +103,61 @@ def _init_conv_bn(rng: np.random.Generator, spec: ConvSpec) -> ConvBn:
     )
 
 
-def _init_mbconv(rng: np.random.Generator, c: int, expansion: int) -> MbconvWeights:
+def _init_mbconv(draw: Callable[[tuple[int, ...]], Array], c: int,
+                 expansion: int) -> MbconvWeights:
     hidden = expansion * c
     return MbconvWeights(
-        expand=_init_conv_bn(rng, ConvSpec(c, hidden, (1, 1))),
-        depthwise=_init_conv_bn(rng, ConvSpec(hidden, hidden, (3, 3), 1, 1, groups=hidden)),
-        project=_init_conv_bn(rng, ConvSpec(hidden, c, (1, 1))),
+        expand=_init_conv_bn(draw, ConvSpec(c, hidden, (1, 1))),
+        depthwise=_init_conv_bn(draw, ConvSpec(hidden, hidden, (3, 3), 1, 1, groups=hidden)),
+        project=_init_conv_bn(draw, ConvSpec(hidden, c, (1, 1))),
     )
 
 
-def _init_svga_block(rng: np.random.Generator, c: int, k: int, ffn_ratio: int) -> SvgaBlockWeights:
+def _init_svga_block(draw: Callable[[tuple[int, ...]], Array], c: int, k: int,
+                     ffn_ratio: int) -> SvgaBlockWeights:
     grapher = GrapherWeights(
-        w_in=_init_conv_bn(rng, ConvSpec(c, c, (1, 1))),
-        proj=_init_conv_bn(rng, ConvSpec(2 * c, 2 * c, (1, 1))),
-        w_out=_init_conv_bn(rng, ConvSpec(2 * c, c, (1, 1))),
+        w_in=_init_conv_bn(draw, ConvSpec(c, c, (1, 1))),
+        proj=_init_conv_bn(draw, ConvSpec(2 * c, 2 * c, (1, 1))),
+        w_out=_init_conv_bn(draw, ConvSpec(2 * c, c, (1, 1))),
     )
     ffn = FfnWeights(
-        w1=_init_conv_bn(rng, ConvSpec(c, ffn_ratio * c, (1, 1))),
-        w2=_init_conv_bn(rng, ConvSpec(ffn_ratio * c, c, (1, 1))),
+        w1=_init_conv_bn(draw, ConvSpec(c, ffn_ratio * c, (1, 1))),
+        w2=_init_conv_bn(draw, ConvSpec(ffn_ratio * c, c, (1, 1))),
         ratio=ffn_ratio,
     )
     return SvgaBlockWeights(grapher=grapher, ffn=ffn, k=k)
 
 
-def build_model(cfg: VariantConfig, seed: int = 0) -> ModelWeights:
+def build_model(cfg: VariantConfig, seed: int = 0, *, skeleton: bool = False) -> ModelWeights:
     """Deterministically initialized weights: truncated-normal convs and the
     classifier, zero biases, identity batch norms. Parameters are drawn in
     the fixed named_params order, so equal seeds give bitwise-equal models.
+
+    skeleton=True gives the same arrays (names, shapes, dtypes) with zero
+    conv and classifier weights and draws nothing: a model to be filled in,
+    as weights_io.load_into_model does.
     """
-    rng = np.random.default_rng(seed)
+    if skeleton:
+        draw = partial(np.zeros, dtype=np.float32)
+    else:
+        draw = partial(_trunc_normal, np.random.default_rng(seed))
     c1, c2, c3, c4 = cfg.stage_channels
     stem = [
-        _init_conv_bn(rng, ConvSpec(3, c1 // 2, (3, 3), 2, 1)),
-        _init_conv_bn(rng, ConvSpec(c1 // 2, c1, (3, 3), 2, 1)),
+        _init_conv_bn(draw, ConvSpec(3, c1 // 2, (3, 3), 2, 1)),
+        _init_conv_bn(draw, ConvSpec(c1 // 2, c1, (3, 3), 2, 1)),
     ]
     stages = []
     downsamples = []
     for i in range(3):
         c = cfg.stage_channels[i]
-        stages.append([_init_mbconv(rng, c, cfg.expansion)
+        stages.append([_init_mbconv(draw, c, cfg.expansion)
                        for _ in range(cfg.stage_depths[i])])
         downsamples.append(_init_conv_bn(
-            rng, ConvSpec(c, cfg.stage_channels[i + 1], (3, 3), 2, 1)))
-    svga_blocks = [_init_svga_block(rng, c4, cfg.k, cfg.ffn_ratio)
+            draw, ConvSpec(c, cfg.stage_channels[i + 1], (3, 3), 2, 1)))
+    svga_blocks = [_init_svga_block(draw, c4, cfg.k, cfg.ffn_ratio)
                    for _ in range(cfg.stage_depths[3])]
-    head_conv = _init_conv_bn(rng, ConvSpec(c4, cfg.head_hidden, (1, 1)))
-    head_weight = _trunc_normal(rng, (cfg.num_classes, cfg.head_hidden))
+    head_conv = _init_conv_bn(draw, ConvSpec(c4, cfg.head_hidden, (1, 1)))
+    head_weight = draw((cfg.num_classes, cfg.head_hidden))
     head_bias = np.zeros(cfg.num_classes, dtype=np.float32)
     return ModelWeights(
         variant=cfg.name, stem=stem, stages=stages, downsamples=downsamples,

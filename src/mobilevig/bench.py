@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import platform
 import time
 from dataclasses import asdict, dataclass
@@ -63,10 +64,17 @@ class BenchReport:
 
 
 def environment(threads: int) -> dict:
+    """The run's settings as they took effect: the requested thread count,
+    the BLAS numpy was built against, the thread variables set in this
+    process's environment, and the numpy and Python versions."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
         "threads": threads,
-        "scalar_width": 32,
-        "build_profile": f"cpython-{platform.python_version()}-numpy-{np.__version__}",
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "thread_vars": {k: v for k, v in sorted(os.environ.items())
+                        if k.endswith("_NUM_THREADS")},
+        "numpy": np.__version__,
+        "python": platform.python_version(),
     }
 
 

@@ -173,7 +173,7 @@ def _cmd_bench(args) -> int:
 
 def load_ppm(path: str):
     """Minimal binary PPM (P6, maxval 255) reader, to a (1, 3, h, w) float32
-    tensor scaled to [0, 1]."""
+    tensor scaled to [0, 1]. Any malformed file raises ValueError naming it."""
     import numpy as np
 
     with open(path, "rb") as f:
@@ -192,14 +192,26 @@ def load_ppm(path: str):
         start = pos
         while pos < len(data) and not data[pos:pos + 1].isspace():
             pos += 1
-        fields.append(int(data[start:pos]))
+        token = data[start:pos]
+        if not token:
+            raise ValueError(f"{path}: truncated PPM header")
+        # ASCII digits only (no sign); 20 digits bound any size a file can hold
+        # and stay far below int()'s digit limit
+        if not token.isdigit() or len(token) > 20:
+            raise ValueError(f"{path}: PPM header field {token[:24]!r} is not a "
+                             f"decimal number of at most 20 digits")
+        fields.append(int(token))
     pos += 1  # single whitespace after maxval
     w, h, maxval = fields
+    if w < 1 or h < 1:
+        raise ValueError(f"{path}: PPM dims must be >= 1, got {w}x{h}")
     if maxval != 255:
         raise ValueError(f"{path}: only maxval 255 supported, got {maxval}")
-    raw = np.frombuffer(data, dtype=np.uint8, count=w * h * 3, offset=pos)
-    if raw.size != w * h * 3:
-        raise ValueError(f"{path}: truncated pixel data")
+    need = w * h * 3  # a Python int: no overflow before the check
+    if need > len(data) - pos:
+        raise ValueError(f"{path}: truncated pixel data ({w}x{h} needs {need} bytes, "
+                         f"{max(len(data) - pos, 0)} left)")
+    raw = np.frombuffer(data, dtype=np.uint8, count=need, offset=pos)
     img = raw.reshape(h, w, 3).transpose(2, 0, 1).astype(np.float32) / 255.0
     return img[None]
 

@@ -15,6 +15,17 @@ chunked GEMM's invariance is a property of the BLAS build (each output column
 is reduced in the same order wherever it sits in a chunk), not a guarantee of
 the BLAS interface; the tests check it bitwise.
 
+A depthwise convolution copies the input, a block of channels at a time,
+into a zero-bordered buffer, each channel's map flat with kw - 1 zeros of
+slack after it. At stride 1 every tap is then one contiguous run of
+oh * wp elements of that buffer (wp the padded width): the accumulation
+works on "wide rows" whose last kw - 1 columns are garbage that no output
+reads, and ufunc loops run over a whole map rather than one output row.
+Larger strides take strided views of the same buffer. A block holds about
+_DW_BLOCK scratch elements, so the tap products stay in L2; each element
+sees acc = tap * w, then acc = acc + tap * w per tap in row-major order,
+then + bias, whatever block it falls in.
+
 `conv_bn` folds inference batch norm into the conv weights and bias on every
 call, so a conv and its batch norm cost one pass over the output.
 """
@@ -34,6 +45,10 @@ _INV_SQRT2PI = 0.3989422804014327
 # output pixels per GEMM call of a dense conv; fixed, never derived from the
 # pixel count, so that a pixel's result does not depend on the image size
 _CHUNK = 64
+
+# depthwise conv: scratch elements per channel block, sized so that a block's
+# tap products stay in L2; fixed, and no element's op sequence depends on it
+_DW_BLOCK = 65536
 
 
 def _f32(v: float) -> Array:
@@ -157,25 +172,57 @@ def _conv_dense(xp: Array, weight: Array, bias: Array, stride: int,
     return out
 
 
-def _conv_depthwise(xp: Array, weight: Array, bias: Array, stride: int,
-                    oh: int, ow: int) -> Array:
-    c, _, kh, kw = weight.shape
-    # taps accumulate in place into one buffer, through one reused product
-    # buffer; the op sequence per element is that of acc = acc + tap * w
-    acc = term = None
-    for ky in range(kh):
-        for kx in range(kw):
-            tap = xp[:, :, ky:ky + (oh - 1) * stride + 1:stride,
-                     kx:kx + (ow - 1) * stride + 1:stride]
-            w = weight[:, 0, ky, kx].reshape(1, c, 1, 1)
-            if acc is None:
-                acc = tap * w
-                term = np.empty_like(acc)
-            else:
-                np.multiply(tap, w, out=term)
-                acc += term
-    acc += bias.reshape(1, c, 1, 1)
-    return acc
+def _pad_hw(x: Array, p: int) -> Array:
+    # x zero-padded by p on both sides of its two spatial axes; np.pad's
+    # result, bit for bit, without its fixed cost per call
+    n, c, h, w = x.shape
+    out = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=x.dtype)
+    out[:, :, p:p + h, p:p + w] = x
+    return out
+
+
+def _conv_depthwise(x: Array, weight: Array, bias: Array, stride: int,
+                    padding: int, oh: int, ow: int) -> Array:
+    n, c, h, w = x.shape
+    _, _, kh, kw = weight.shape
+    hp, wp = h + 2 * padding, w + 2 * padding
+    # each channel's zero-bordered map, flat, plus kw - 1 zeros of slack: at
+    # stride 1 tap (ky, kx) is the contiguous run of oh * wp elements from
+    # ky * wp + kx, a "wide row" map whose last kw - 1 columns are garbage
+    # and never read; at larger strides a tap is a strided view of the map
+    span = hp * wp + kw - 1
+    wide = wp if stride == 1 else ow
+    # channels per block: the block's scratch holds about _DW_BLOCK elements
+    cb = min(c, max(1, _DW_BLOCK // (oh * wide)))
+    buf = np.zeros((cb, span), dtype=x.dtype)
+    maps = buf[:, :hp * wp].reshape(cb, hp, wp)
+    acc = np.empty((cb, oh, wide), dtype=x.dtype)
+    term = np.empty_like(acc)
+    out = np.empty((n, c, oh, ow), dtype=x.dtype)
+    for i in range(n):
+        for c0 in range(0, c, cb):
+            m = min(cb, c - c0)
+            maps[:m, padding:padding + h, padding:padding + w] = x[i, c0:c0 + m]
+            a, t = acc[:m], term[:m]
+            # the op sequence per element is acc = tap * w, then
+            # acc = acc + tap * w per tap in row-major order, then + bias
+            for ky in range(kh):
+                for kx in range(kw):
+                    if stride == 1:
+                        start = ky * wp + kx
+                        tap = buf[:m, start:start + oh * wp].reshape(m, oh, wp)
+                    else:
+                        tap = maps[:m, ky:ky + (oh - 1) * stride + 1:stride,
+                                   kx:kx + (ow - 1) * stride + 1:stride]
+                    wk = weight[c0:c0 + m, 0, ky, kx, None, None]
+                    if ky == kx == 0:
+                        np.multiply(tap, wk, out=a)
+                    else:
+                        np.multiply(tap, wk, out=t)
+                        a += t
+            np.add(a[:, :, :ow], bias[c0:c0 + m, None, None],
+                   out=out[i, c0:c0 + m])
+    return out
 
 
 def conv2d(x: Array, spec: ConvSpec, weight: Array, bias: Array) -> Array:
@@ -191,10 +238,10 @@ def conv2d(x: Array, spec: ConvSpec, weight: Array, bias: Array) -> Array:
              f"bias shape {bias.shape} != ({spec.out_channels},)")
     oh, ow = spec.out_size(x.shape[2], x.shape[3])
 
-    p = spec.padding
-    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
     if spec.groups == spec.in_channels == spec.out_channels:
-        return _conv_depthwise(xp, weight, bias, spec.stride, oh, ow)
+        return _conv_depthwise(x, weight, bias, spec.stride, spec.padding, oh, ow)
+    p = spec.padding
+    xp = _pad_hw(x, p) if p else x
     if spec.groups == 1:
         return _conv_dense(xp, weight, bias, spec.stride, oh, ow)
     icg = spec.in_channels // spec.groups

@@ -105,14 +105,14 @@ def load_weights(path: str) -> tuple[str, dict[str, Array]]:
 
 
 def load_into_model(path: str, cfg: VariantConfig) -> ModelWeights:
-    """Builds a weight skeleton for cfg and fills it from the file, checking
-    that names and shapes line up exactly.
+    """Builds a zero-filled weight skeleton for cfg and fills it from the
+    file, checking that names and shapes line up exactly.
     """
     variant, loaded = load_weights(path)
     if variant != cfg.name:
         raise WeightsFormatError(
             f"{path}: file holds variant {variant!r}, expected {cfg.name!r}")
-    model = build_model(cfg, seed=0)
+    model = build_model(cfg, skeleton=True)
     expected = list(named_params(model))
     if len(expected) != len(loaded):
         raise WeightsFormatError(

@@ -67,6 +67,26 @@ def test_bench_reports_and_files(capsys, tmp_path):
     assert len(lines) == 3
 
 
+def test_bench_env_records_settings_in_effect(capsys, monkeypatch, tmp_path):
+    import platform
+
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "4")  # restored after the test; bench pins them
+    out_json = tmp_path / "bench.json"
+    assert main(["bench", "--mechanism", "svga", "--size", "7", "--channels", "8",
+                 "--reps", "30", "--warmup", "5", "--json", str(out_json)]) == 0
+    env = json.loads(out_json.read_text())["env"]
+    assert set(env) == {"threads", "blas", "thread_vars", "numpy", "python"}
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert env["blas"] == {"name": blas["name"], "version": blas["version"]}
+    assert env["blas"]["name"] and env["blas"]["version"]
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        assert env["thread_vars"][var] == "1"
+    assert env["threads"] == 1
+    assert env["numpy"] == np.__version__
+    assert env["python"] == platform.python_version()
+
+
 def test_bench_rejects_low_reps(capsys):
     rc = main(["bench", "--reps", "10", "--size", "7", "--channels", "4"])
     assert rc == 2
@@ -224,6 +244,75 @@ def test_forward_rejects_non_ppm(capsys, tmp_path):
     rc = main(["forward", "--variant", "Ti", "--input", str(path)])
     assert rc == 2
     assert "P6" in capsys.readouterr().err
+
+
+# a small hand-made P6 file: 2x3 pixels, a comment in the header
+_SMALL_PPM = b"P6\n# c\n2 3\n255\n" + bytes(range(0, 36, 2))
+
+
+def test_small_ppm_loads(tmp_path):
+    path = tmp_path / "small.ppm"
+    path.write_bytes(_SMALL_PPM)
+    x = load_ppm(str(path))
+    want = np.arange(0, 36, 2, dtype=np.uint8).reshape(3, 2, 3).transpose(2, 0, 1)
+    assert np.array_equal(x[0], want.astype(np.float32) / 255.0)
+
+
+@pytest.mark.parametrize("header", [
+    b"P6 99999999999 99999999999 255 ",
+    b"P6 -1 -1 255 ",
+    b"P6 +2 3 255 ",
+    b"P6 0 3 255 ",
+    b"P6 2 0 255 ",
+    b"P6 2 3 256 ",
+    b"P6 2 3 0x10 ",
+    b"P6 " + b"9" * 5000 + b" 3 255 ",
+    b"P6 2 3",
+    b"P6 2 3 255 ",
+], ids=["huge-dims", "negative-dims", "plus-sign", "zero-width", "zero-height",
+        "maxval-256", "hex-maxval", "5000-digits", "no-maxval", "short-pixels"])
+def test_load_ppm_rejects_bad_headers_with_value_error(tmp_path, header):
+    path = tmp_path / "bad.ppm"
+    path.write_bytes(header + b"\x00" * 12)
+    with pytest.raises(ValueError, match="bad.ppm"):
+        load_ppm(str(path))
+
+
+def test_load_ppm_every_truncation_raises_value_error(tmp_path):
+    path = tmp_path / "cut.ppm"
+    for n in range(len(_SMALL_PPM)):
+        path.write_bytes(_SMALL_PPM[:n])
+        with pytest.raises(ValueError, match="cut.ppm"):
+            load_ppm(str(path))
+
+
+def test_load_ppm_single_bit_flips_load_or_raise_value_error(tmp_path):
+    path = tmp_path / "flip.ppm"
+    loaded = 0
+    for i in range(len(_SMALL_PPM)):
+        for bit in range(8):
+            mutated = bytearray(_SMALL_PPM)
+            mutated[i] ^= 1 << bit
+            path.write_bytes(bytes(mutated))
+            try:
+                x = load_ppm(str(path))
+            except ValueError as exc:
+                assert "flip.ppm" in str(exc)
+            else:
+                loaded += 1
+                assert x.dtype == np.float32 and x.shape[:2] == (1, 3)
+    assert loaded >= 8 * 18  # every pixel-byte flip still loads
+
+
+@pytest.mark.parametrize("data", [b"P6 -1 -1 255 ", b"P6 99999999999 99999999999 255 ",
+                                  _SMALL_PPM[:-1]],
+                         ids=["negative-dims", "huge-dims", "truncated"])
+def test_forward_rejects_malformed_ppm_with_one_error_line(capsys, tmp_path, data):
+    path = tmp_path / "bad.ppm"
+    path.write_bytes(data)
+    rc = main(["forward", "--variant", "Ti", "--input", str(path)])
+    assert rc == 2
+    _assert_one_error_line(capsys, "bad.ppm")
 
 
 def _assert_one_error_line(capsys, path_name):

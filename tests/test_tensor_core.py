@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 from scipy.special import erf as scipy_erf
 
+from mobilevig import tensor_core
 from mobilevig.tensor_core import (
     _CHUNK,
+    _DW_BLOCK,
+    _pad_hw,
     ConvBn,
     ConvSpec,
     batchnorm_infer,
@@ -449,6 +452,78 @@ def test_depthwise_in_place_matches_allocating_bitwise(stride, padding):
     got = conv2d(x, spec, w, b)
     assert np.array_equal(got, _depthwise_allocating(x, w, b, stride, padding))
     assert np.array_equal(x, x0) and np.array_equal(w, w0) and np.array_equal(b, b0)
+
+
+# Channel blocks of the depthwise conv: the block constant sets how many
+# channels share one pass over the taps and must change no bit. A constant
+# of 1 gives one channel per block, 37 one channel on the large maps and
+# 2 to 5 on the small ones; the large maps hold more than one default block.
+_DW_SHAPES = [(2, 200, 40, 38), (2, 5, 3, 4)]
+_DW_BLOCKS = [1, 37, _DW_BLOCK]
+
+
+def _depthwise_case(shape, stride, padding, dtype, seed=30):
+    n, c, h, w = shape
+    spec = ConvSpec(c, c, (3, 3), stride=stride, padding=padding, groups=c)
+    rng = np.random.default_rng([seed, c, h, w])
+    x = rng.standard_normal(shape).astype(dtype)
+    wgt = rng.standard_normal(spec.weight_shape()).astype(dtype)
+    b = rng.standard_normal(c).astype(dtype)
+    return spec, x, wgt, b
+
+
+def test_depthwise_large_maps_span_several_default_blocks():
+    n, c, h, w = _DW_SHAPES[0]
+    for stride in (1, 2):
+        oh, ow = ConvSpec(c, c, (3, 3), stride, 1, groups=c).out_size(h, w)
+        assert c * oh * ow > _DW_BLOCK
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 0), (2, 1)])
+@pytest.mark.parametrize("shape", _DW_SHAPES, ids=["large", "small"])
+def test_depthwise_channel_blocks_match_allocating_bitwise(monkeypatch, shape, stride,
+                                                          padding, dtype):
+    spec, x, wgt, b = _depthwise_case(shape, stride, padding, dtype)
+    saved = [a.copy() for a in (x, wgt, b)]
+    want = _depthwise_allocating(x, wgt, b, stride, padding)
+    for block in _DW_BLOCKS:
+        monkeypatch.setattr(tensor_core, "_DW_BLOCK", block)
+        got = conv2d(x, spec, wgt, b)
+        assert got.dtype == dtype and got.flags.c_contiguous
+        assert np.array_equal(got, want), block
+    for before, after in zip(saved, (x, wgt, b)):
+        assert np.array_equal(before, after)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_depthwise_bitwise_under_sub_batching_and_crops(dtype):
+    # stride 1 over several default blocks: an image alone, a channel range
+    # and a crop (padding 0 on the crop, 1 on the whole map) give the same
+    # bits as inside the whole batch, though each splits into other blocks
+    spec, x, wgt, b = _depthwise_case(_DW_SHAPES[0], 1, 1, dtype, seed=31)
+    whole = conv2d(x, spec, wgt, b)
+    for i in range(x.shape[0]):
+        assert np.array_equal(conv2d(x[i:i + 1], spec, wgt, b), whole[i:i + 1])
+    lo, hi = 17, 150
+    part = ConvSpec(hi - lo, hi - lo, (3, 3), padding=1, groups=hi - lo)
+    assert np.array_equal(conv2d(x[:, lo:hi], part, wgt[lo:hi], b[lo:hi]),
+                          whole[:, lo:hi])
+    valid = ConvSpec(spec.in_channels, spec.out_channels, (3, 3), groups=spec.groups)
+    crop = x[:, :, 5:30, 3:24]
+    assert np.array_equal(conv2d(crop, valid, wgt, b), whole[:, :, 6:29, 4:23])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_pad_hw_matches_np_pad_bitwise(p, dtype):
+    x = rand((2, 3, 4, 5), seed=32, dtype=dtype)
+    x[0, 0, 0, 0] = -0.0
+    x[1, 2, 3, 4] = np.nan
+    got = _pad_hw(x, p)
+    want = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def test_batchnorm_in_place_matches_allocating_bitwise():

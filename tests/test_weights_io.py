@@ -3,6 +3,7 @@ import struct
 import numpy as np
 import pytest
 
+from mobilevig import weights_io
 from mobilevig.arch import VARIANTS, build_model, model_forward, named_params
 from mobilevig.weights_io import (
     MAGIC,
@@ -39,6 +40,41 @@ def test_roundtrip_preserves_logits(tmp_path):
     save_weights(str(path), model)
     after = model_forward(x, load_into_model(str(path), cfg), cfg)
     assert np.array_equal(before, after)
+
+
+@pytest.mark.parametrize("name", ["Ti", "B"])
+def test_skeleton_has_built_names_shapes_and_dtypes_without_draws(monkeypatch, name):
+    cfg = VARIANTS[name]
+    built = [(n, a.shape, a.dtype) for n, a in named_params(build_model(cfg, 0))]
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("the skeleton asked for random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    skeleton = [(n, a.shape, a.dtype) for n, a in named_params(build_model(cfg, skeleton=True))]
+    assert skeleton == built
+
+
+def test_load_into_model_round_trip_is_bitwise_through_the_skeleton(monkeypatch, tmp_path):
+    # the skeleton is built through the module's build_model binding, which
+    # the benchmark's tracer wraps to time it
+    cfg = VARIANTS["Ti"]
+    model = build_model(cfg, seed=5)
+    path = tmp_path / "ti.mvig"
+    save_weights(str(path), model)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return build_model(*args, **kwargs)
+
+    monkeypatch.setattr(weights_io, "build_model", counted)
+    loaded = load_into_model(str(path), cfg)
+    assert calls == [{"skeleton": True}]
+    pairs = list(zip(named_params(model), named_params(loaded), strict=True))
+    for (name, want), (got_name, got) in pairs:
+        assert got_name == name
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
 
 
 def test_bad_magic_rejected(tmp_path):
