@@ -103,35 +103,54 @@ def _init_conv_bn(draw: Callable[[tuple[int, ...]], Array], spec: ConvSpec) -> C
     )
 
 
-def _init_mbconv(draw: Callable[[tuple[int, ...]], Array], c: int,
-                 expansion: int) -> MbconvWeights:
-    hidden = expansion * c
-    return MbconvWeights(
-        expand=_init_conv_bn(draw, ConvSpec(c, hidden, (1, 1))),
-        depthwise=_init_conv_bn(draw, ConvSpec(hidden, hidden, (3, 3), 1, 1, groups=hidden)),
-        project=_init_conv_bn(draw, ConvSpec(hidden, c, (1, 1))),
-    )
+@dataclass(frozen=True)
+class Layer:
+    """One block of the network: its parameter-name prefix, its kind (stem,
+    mbconv, downsample, svga or head), and its convs as (path inside the
+    block's weights, spec) pairs, in the order the block applies them."""
+
+    name: str
+    kind: str
+    convs: tuple[tuple[str, ConvSpec], ...]
 
 
-def _init_svga_block(draw: Callable[[tuple[int, ...]], Array], c: int, k: int,
-                     ffn_ratio: int) -> SvgaBlockWeights:
-    grapher = GrapherWeights(
-        w_in=_init_conv_bn(draw, ConvSpec(c, c, (1, 1))),
-        proj=_init_conv_bn(draw, ConvSpec(2 * c, 2 * c, (1, 1))),
-        w_out=_init_conv_bn(draw, ConvSpec(2 * c, c, (1, 1))),
+def layer_plan(cfg: VariantConfig) -> list[Layer]:
+    """The network in forward order. Building, naming and counting all
+    derive from this list."""
+    c1, c4 = cfg.stage_channels[0], cfg.stage_channels[3]
+    plan = [Layer("stem", "stem", (
+        ("0", ConvSpec(3, c1 // 2, (3, 3), 2, 1)),
+        ("1", ConvSpec(c1 // 2, c1, (3, 3), 2, 1)),
+    ))]
+    for i in range(3):
+        c = cfg.stage_channels[i]
+        hidden = cfg.expansion * c
+        mbconv = (
+            ("expand", ConvSpec(c, hidden, (1, 1))),
+            ("depthwise", ConvSpec(hidden, hidden, (3, 3), 1, 1, groups=hidden)),
+            ("project", ConvSpec(hidden, c, (1, 1))),
+        )
+        plan += [Layer(f"stage{i + 1}.{b}", "mbconv", mbconv)
+                 for b in range(cfg.stage_depths[i])]
+        plan.append(Layer(f"downsample{i + 1}", "downsample",
+                          (("", ConvSpec(c, cfg.stage_channels[i + 1], (3, 3), 2, 1)),)))
+    f = cfg.ffn_ratio * c4
+    svga = (
+        ("grapher.w_in", ConvSpec(c4, c4, (1, 1))),
+        ("grapher.proj", ConvSpec(2 * c4, 2 * c4, (1, 1))),
+        ("grapher.w_out", ConvSpec(2 * c4, c4, (1, 1))),
+        ("ffn.w1", ConvSpec(c4, f, (1, 1))),
+        ("ffn.w2", ConvSpec(f, c4, (1, 1))),
     )
-    ffn = FfnWeights(
-        w1=_init_conv_bn(draw, ConvSpec(c, ffn_ratio * c, (1, 1))),
-        w2=_init_conv_bn(draw, ConvSpec(ffn_ratio * c, c, (1, 1))),
-        ratio=ffn_ratio,
-    )
-    return SvgaBlockWeights(grapher=grapher, ffn=ffn, k=k)
+    plan += [Layer(f"stage4.{b}", "svga", svga) for b in range(cfg.stage_depths[3])]
+    plan.append(Layer("head.conv", "head", (("", ConvSpec(c4, cfg.head_hidden, (1, 1))),)))
+    return plan
 
 
 def build_model(cfg: VariantConfig, seed: int = 0, *, skeleton: bool = False) -> ModelWeights:
     """Deterministically initialized weights: truncated-normal convs and the
     classifier, zero biases, identity batch norms. Parameters are drawn in
-    the fixed named_params order, so equal seeds give bitwise-equal models.
+    layer_plan order, so equal seeds give bitwise-equal models.
 
     skeleton=True gives the same arrays (names, shapes, dtypes) with zero
     conv and classifier weights and draws nothing: a model to be filled in,
@@ -141,22 +160,22 @@ def build_model(cfg: VariantConfig, seed: int = 0, *, skeleton: bool = False) ->
         draw = partial(np.zeros, dtype=np.float32)
     else:
         draw = partial(_trunc_normal, np.random.default_rng(seed))
-    c1, c2, c3, c4 = cfg.stage_channels
-    stem = [
-        _init_conv_bn(draw, ConvSpec(3, c1 // 2, (3, 3), 2, 1)),
-        _init_conv_bn(draw, ConvSpec(c1 // 2, c1, (3, 3), 2, 1)),
-    ]
-    stages = []
-    downsamples = []
-    for i in range(3):
-        c = cfg.stage_channels[i]
-        stages.append([_init_mbconv(draw, c, cfg.expansion)
-                       for _ in range(cfg.stage_depths[i])])
-        downsamples.append(_init_conv_bn(
-            draw, ConvSpec(c, cfg.stage_channels[i + 1], (3, 3), 2, 1)))
-    svga_blocks = [_init_svga_block(draw, c4, cfg.k, cfg.ffn_ratio)
-                   for _ in range(cfg.stage_depths[3])]
-    head_conv = _init_conv_bn(draw, ConvSpec(c4, cfg.head_hidden, (1, 1)))
+    stem, stages, downsamples, svga_blocks = [], [[], [], []], [], []
+    for layer in layer_plan(cfg):
+        p = [_init_conv_bn(draw, spec) for _, spec in layer.convs]
+        if layer.kind == "stem":
+            stem = p
+        elif layer.kind == "mbconv":
+            # stage i's blocks come after i downsamples
+            stages[len(downsamples)].append(MbconvWeights(*p))
+        elif layer.kind == "downsample":
+            downsamples.append(p[0])
+        elif layer.kind == "svga":
+            svga_blocks.append(SvgaBlockWeights(
+                grapher=GrapherWeights(*p[:3]),
+                ffn=FfnWeights(*p[3:], ratio=cfg.ffn_ratio), k=cfg.k))
+        else:
+            head_conv = p[0]
     head_weight = draw((cfg.num_classes, cfg.head_hidden))
     head_bias = np.zeros(cfg.num_classes, dtype=np.float32)
     return ModelWeights(
@@ -222,23 +241,30 @@ def _conv_bn_entries(prefix: str, p: ConvBn):
     yield prefix + ".bn.var", p.var
 
 
+def _layer_weights(w: ModelWeights):
+    """The block weights of each layer_plan entry, in plan order."""
+    yield w.stem
+    for blocks, down in zip(w.stages, w.downsamples):
+        yield from blocks
+        yield down
+    yield from w.svga_blocks
+    yield w.head_conv
+
+
+def _conv_at(block, path: str) -> ConvBn:
+    # path parts are attribute names, or list indices for the stem's convs
+    for part in filter(None, path.split(".")):
+        block = block[int(part)] if part.isdigit() else getattr(block, part)
+    return block
+
+
 def named_params(w: ModelWeights):
     """All parameter arrays with unique names, in deterministic order."""
-    for i, p in enumerate(w.stem):
-        yield from _conv_bn_entries(f"stem.{i}", p)
-    for s, blocks in enumerate(w.stages, start=1):
-        for b, mb in enumerate(blocks):
-            yield from _conv_bn_entries(f"stage{s}.{b}.expand", mb.expand)
-            yield from _conv_bn_entries(f"stage{s}.{b}.depthwise", mb.depthwise)
-            yield from _conv_bn_entries(f"stage{s}.{b}.project", mb.project)
-        yield from _conv_bn_entries(f"downsample{s}", w.downsamples[s - 1])
-    for b, blk in enumerate(w.svga_blocks):
-        yield from _conv_bn_entries(f"stage4.{b}.grapher.w_in", blk.grapher.w_in)
-        yield from _conv_bn_entries(f"stage4.{b}.grapher.proj", blk.grapher.proj)
-        yield from _conv_bn_entries(f"stage4.{b}.grapher.w_out", blk.grapher.w_out)
-        yield from _conv_bn_entries(f"stage4.{b}.ffn.w1", blk.ffn.w1)
-        yield from _conv_bn_entries(f"stage4.{b}.ffn.w2", blk.ffn.w2)
-    yield from _conv_bn_entries("head.conv", w.head_conv)
+    plan = layer_plan(get_variant(w.variant))
+    for layer, block in zip(plan, _layer_weights(w), strict=True):
+        for path, _ in layer.convs:
+            prefix = f"{layer.name}.{path}" if path else layer.name
+            yield from _conv_bn_entries(prefix, _conv_at(block, path))
     yield "head.fc.weight", w.head_weight
     yield "head.fc.bias", w.head_bias
 
@@ -255,59 +281,29 @@ def count_params(w: ModelWeights) -> int:
     return total
 
 
-def _conv_macs(spec: ConvSpec, h: int, w: int) -> tuple[int, int, int]:
-    oh, ow = spec.out_size(h, w)
-    kh, kw = spec.kernel
-    macs = oh * ow * spec.out_channels * (spec.in_channels // spec.groups) * kh * kw
-    return macs, oh, ow
-
-
-def count_macs(cfg: VariantConfig, h: int, w: int) -> int:
-    """Multiply-accumulate count for one image (batch 1) at h x w.
-
-    Only convolutions and the classifier contribute; the roll, subtract and
-    max steps of the graph aggregation are MAC-free.
+def layer_shapes(cfg: VariantConfig, h: int,
+                 w: int) -> list[tuple[Layer, int, tuple[int, int]]]:
+    """(layer, MACs, output size) for each layer_plan entry, for one image
+    (batch 1) at h x w. Only convolutions and the classifier (counted in
+    the head) have MACs; the roll, subtract and max steps of the graph
+    aggregation are MAC-free.
     """
     _require(h % 32 == 0 and w % 32 == 0,
              f"input dims must be divisible by 32, got {h}x{w}")
-    c1, c2, c3, c4 = cfg.stage_channels
-    total = 0
-    m, h, w = _conv_macs(ConvSpec(3, c1 // 2, (3, 3), 2, 1), h, w)
-    total += m
-    m, h, w = _conv_macs(ConvSpec(c1 // 2, c1, (3, 3), 2, 1), h, w)
-    total += m
-    for i in range(3):
-        c = cfg.stage_channels[i]
-        hidden = cfg.expansion * c
-        per_block = (
-            _conv_macs(ConvSpec(c, hidden, (1, 1)), h, w)[0]
-            + _conv_macs(ConvSpec(hidden, hidden, (3, 3), 1, 1, groups=hidden), h, w)[0]
-            + _conv_macs(ConvSpec(hidden, c, (1, 1)), h, w)[0]
-        )
-        total += cfg.stage_depths[i] * per_block
-        m, h, w = _conv_macs(ConvSpec(c, cfg.stage_channels[i + 1], (3, 3), 2, 1), h, w)
-        total += m
-    per_svga = (
-        _conv_macs(ConvSpec(c4, c4, (1, 1)), h, w)[0]
-        + _conv_macs(ConvSpec(2 * c4, 2 * c4, (1, 1)), h, w)[0]
-        + _conv_macs(ConvSpec(2 * c4, c4, (1, 1)), h, w)[0]
-        + _conv_macs(ConvSpec(c4, cfg.ffn_ratio * c4, (1, 1)), h, w)[0]
-        + _conv_macs(ConvSpec(cfg.ffn_ratio * c4, c4, (1, 1)), h, w)[0]
-    )
-    total += cfg.stage_depths[3] * per_svga
-    total += _conv_macs(ConvSpec(c4, cfg.head_hidden, (1, 1)), h, w)[0]
-    total += cfg.head_hidden * cfg.num_classes
-    return total
+    rows = []
+    for layer in layer_plan(cfg):
+        macs = 0
+        for _, spec in layer.convs:
+            oh, ow = spec.out_size(h, w)
+            kh, kw = spec.kernel
+            macs += oh * ow * spec.out_channels * (spec.in_channels // spec.groups) * kh * kw
+            h, w = oh, ow
+        if layer.kind == "head":
+            macs += cfg.head_hidden * cfg.num_classes
+        rows.append((layer, macs, (h, w)))
+    return rows
 
 
-def stage_resolutions(h: int, w: int) -> list[tuple[int, int]]:
-    """Spatial size of each of the four stages for an h x w input."""
-    sizes = []
-    ch, cw = h, w
-    for _ in range(2):  # stem convs
-        ch, cw = (ch + 2 - 3) // 2 + 1, (cw + 2 - 3) // 2 + 1
-    sizes.append((ch, cw))
-    for _ in range(3):  # downsamples
-        ch, cw = (ch + 2 - 3) // 2 + 1, (cw + 2 - 3) // 2 + 1
-        sizes.append((ch, cw))
-    return sizes
+def count_macs(cfg: VariantConfig, h: int, w: int) -> int:
+    """Multiply-accumulate count for one image (batch 1) at h x w."""
+    return sum(macs for _, macs, _ in layer_shapes(cfg, h, w))

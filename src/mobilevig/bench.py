@@ -18,9 +18,9 @@ from typing import Callable
 
 import numpy as np
 
+from .grad_check import random_conv_bn
 from .knn import knn_aggregate, knn_graph, mrconv_knn
 from .svga import mrconv_aggregate, mrconv_roll
-from .tensor_core import ConvBn, ConvSpec
 
 MIN_REPS = 30
 MIN_WARMUP = 5
@@ -78,15 +78,6 @@ def environment(threads: int) -> dict:
     }
 
 
-def _shared_projection(c: int, seed: int) -> ConvBn:
-    rng = np.random.default_rng([seed, 0xB0])
-    spec = ConvSpec(2 * c, 2 * c, (1, 1))
-    zeros = np.zeros(2 * c, dtype=np.float32)
-    ones = np.ones(2 * c, dtype=np.float32)
-    return ConvBn(spec, rng.standard_normal(spec.weight_shape()).astype(np.float32),
-                  zeros, ones, zeros.copy(), zeros.copy(), ones.copy())
-
-
 def aggregation_step(mechanism: str, h: int, w: int, c: int, k: int,
                      batch: int = 1, include_projection: bool = False,
                      seed: int = 0) -> Callable[[], np.ndarray]:
@@ -95,7 +86,9 @@ def aggregation_step(mechanism: str, h: int, w: int, c: int, k: int,
         raise ValueError(f"unknown mechanism {mechanism!r}")
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((batch, c, h, w)).astype(np.float32)
-    proj = _shared_projection(c, seed) if include_projection else None
+    proj = None
+    if include_projection:
+        proj = random_conv_bn(np.random.default_rng([seed, 0xB0]), 2 * c, 2 * c, np.float32)
     if mechanism == "svga":
         if include_projection:
             return lambda: mrconv_roll(x, k, proj)

@@ -39,7 +39,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("describe", help="stage table, parameter and MAC counts")
     p.add_argument("--variant", required=True)
     p.add_argument("--size", type=_positive_int, default=224)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--json", dest="json_path")
 
     p = sub.add_parser("verify", help="run property suites")
@@ -81,17 +80,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_describe(args) -> int:
-    from .arch import build_model, count_macs, count_params, get_variant, stage_resolutions
+    from .arch import build_model, count_macs, count_params, get_variant, layer_shapes
 
     cfg = get_variant(args.variant)
     size = args.size
     if size % 32:
         raise ValueError(f"input size must be divisible by 32, got {size}")
-    seed = args.seed if args.seed is not None else _default_seed()
-    weights = build_model(cfg, seed)
-    params = count_params(weights)
+    params = count_params(build_model(cfg, skeleton=True))
     macs = count_macs(cfg, size, size)
-    res = stage_resolutions(size, size)
+    # each stage runs at the size the stem or the downsample before it gives
+    res = [hw for layer, _, hw in layer_shapes(cfg, size, size)
+           if layer.kind in ("stem", "downsample")]
 
     rows = [("stem", f"{res[0][0]}x{res[0][1]}", "conv3x3 s2 x2", cfg.stage_channels[0], 2)]
     for i in range(3):
@@ -274,28 +273,45 @@ _COMMANDS = {
 }
 
 
-def _pin_threads(argv: list[str]) -> None:
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _pin_threads(argv: list[str]) -> dict[str, str | None]:
+    """Sets the BLAS thread variables from --threads (default 1) and
+    returns their prior values (None: unset)."""
     threads = "1"
     for i, a in enumerate(argv):
         if a == "--threads" and i + 1 < len(argv):
             threads = argv[i + 1]
         elif a.startswith("--threads="):
             threads = a.split("=", 1)[1]
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    prior = {var: os.environ.get(var) for var in _THREAD_VARS}
+    for var in _THREAD_VARS:
         os.environ[var] = threads
+    return prior
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
+    prior = {}
     if argv and argv[0] == "bench":
-        _pin_threads(argv)  # must happen before numpy is first imported
-    args = _build_parser().parse_args(argv)
+        prior = _pin_threads(argv)  # must happen before numpy is first imported
     try:
-        return _COMMANDS[args.command](args)
-    except (ValueError, OSError) as exc:
-        # bad input values and files that cannot be read or written
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        args = _build_parser().parse_args(argv)
+        try:
+            return _COMMANDS[args.command](args)
+        except (ValueError, OSError) as exc:
+            # bad input values and files that cannot be read or written
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+    finally:
+        # later child processes of an in-process caller get the thread
+        # counts it had
+        for var, value in prior.items():
+            if value is None:
+                os.environ.pop(var, None)
+            else:
+                os.environ[var] = value
 
 
 if __name__ == "__main__":

@@ -205,8 +205,8 @@ def _exact_identity_loss(x: Array, w: SvgaBlockWeights) -> Fraction:
     return Fraction(int(z[0].sum()), 1 << z[1])
 
 
-def _random_conv_bn(rng: np.random.Generator, in_c: int, out_c: int,
-                    dtype=np.float64) -> ConvBn:
+def random_conv_bn(rng: np.random.Generator, in_c: int, out_c: int, dtype) -> ConvBn:
+    """A random 1x1 ConvBn with non-trivial batch norm, drawn from rng."""
     spec = ConvSpec(in_c, out_c, (1, 1))
     return ConvBn(
         spec=spec,
@@ -223,13 +223,13 @@ def random_block_weights(c: int, k: int, rng: np.random.Generator,
                          ffn_ratio: int = 4, dtype=np.float64) -> SvgaBlockWeights:
     """Random SVGA block weights (float64 default, as the checker needs)."""
     grapher = GrapherWeights(
-        w_in=_random_conv_bn(rng, c, c, dtype),
-        proj=_random_conv_bn(rng, 2 * c, 2 * c, dtype),
-        w_out=_random_conv_bn(rng, 2 * c, c, dtype),
+        w_in=random_conv_bn(rng, c, c, dtype),
+        proj=random_conv_bn(rng, 2 * c, 2 * c, dtype),
+        w_out=random_conv_bn(rng, 2 * c, c, dtype),
     )
     ffn = FfnWeights(
-        w1=_random_conv_bn(rng, c, ffn_ratio * c, dtype),
-        w2=_random_conv_bn(rng, ffn_ratio * c, c, dtype),
+        w1=random_conv_bn(rng, c, ffn_ratio * c, dtype),
+        w2=random_conv_bn(rng, ffn_ratio * c, c, dtype),
         ratio=ffn_ratio,
     )
     return SvgaBlockWeights(grapher=grapher, ffn=ffn, k=k)

@@ -226,7 +226,7 @@ def _conv_depthwise(x: Array, weight: Array, bias: Array, stride: int,
 
 
 def conv2d(x: Array, spec: ConvSpec, weight: Array, bias: Array) -> Array:
-    """Grouped 2-D cross-correlation with zero padding."""
+    """Dense (groups=1) or depthwise 2-D cross-correlation with zero padding."""
     _check_nchw(x)
     _require(x.shape[1] == spec.in_channels,
              f"input has {x.shape[1]} channels, spec expects {spec.in_channels}")
@@ -240,19 +240,12 @@ def conv2d(x: Array, spec: ConvSpec, weight: Array, bias: Array) -> Array:
 
     if spec.groups == spec.in_channels == spec.out_channels:
         return _conv_depthwise(x, weight, bias, spec.stride, spec.padding, oh, ow)
+    _require(spec.groups == 1,
+             f"only dense (groups=1) and depthwise convs are supported, got groups="
+             f"{spec.groups} for {spec.in_channels} -> {spec.out_channels} channels")
     p = spec.padding
     xp = _pad_hw(x, p) if p else x
-    if spec.groups == 1:
-        return _conv_dense(xp, weight, bias, spec.stride, oh, ow)
-    icg = spec.in_channels // spec.groups
-    ocg = spec.out_channels // spec.groups
-    parts = [
-        _conv_dense(xp[:, g * icg:(g + 1) * icg],
-                    weight[g * ocg:(g + 1) * ocg],
-                    bias[g * ocg:(g + 1) * ocg], spec.stride, oh, ow)
-        for g in range(spec.groups)
-    ]
-    return np.concatenate(parts, axis=1)
+    return _conv_dense(xp, weight, bias, spec.stride, oh, ow)
 
 
 def _check_bn(c: int, gamma: Array, beta: Array, mean: Array, var: Array) -> None:

@@ -12,10 +12,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grad_check import grad_check_svga, random_block_weights
+from .grad_check import grad_check_svga, random_block_weights, random_conv_bn
 from .knn import adjacency_from_fixed_graph, knn_graph, mrconv_knn
 from .svga import build_fixed_offsets, mrconv_gather_oracle, mrconv_roll, svga_block_forward
-from .tensor_core import Array, ConvBn, ConvSpec, roll_2d
+from .tensor_core import Array, roll_2d
 
 ORACLE_DIMS = (1, 2, 4, 7, 8, 14)
 ORACLE_KS = (1, 2, 3, 5)
@@ -41,19 +41,6 @@ class PropertyResult:
     counterexample: dict = field(default_factory=dict)
 
 
-def _random_proj(rng: np.random.Generator, in_c: int, out_c: int) -> ConvBn:
-    spec = ConvSpec(in_c, out_c, (1, 1))
-    return ConvBn(
-        spec=spec,
-        weight=rng.normal(0.0, 0.4, size=spec.weight_shape()).astype(np.float32),
-        bias=rng.normal(0.0, 0.1, size=out_c).astype(np.float32),
-        gamma=rng.uniform(0.7, 1.3, size=out_c).astype(np.float32),
-        beta=rng.normal(0.0, 0.1, size=out_c).astype(np.float32),
-        mean=rng.normal(0.0, 0.1, size=out_c).astype(np.float32),
-        var=rng.uniform(0.5, 1.5, size=out_c).astype(np.float32),
-    )
-
-
 def _first_mismatch(a: Array, b: Array) -> dict:
     where = np.argwhere(a != b)
     idx = tuple(int(v) for v in where[0])
@@ -69,7 +56,8 @@ def run_oracle_suite(seed: int = 0, seeds_per_case: int = ORACLE_SEEDS) -> Prope
             for k in ORACLE_KS:
                 for c in ORACLE_CHANNELS:
                     graph = build_fixed_offsets(h, w, k)
-                    proj = _random_proj(np.random.default_rng([seed, h, w, k, c]), 2 * c, c)
+                    proj = random_conv_bn(np.random.default_rng([seed, h, w, k, c]), 2 * c, c,
+                                          np.float32)
                     x = np.stack([
                         np.random.default_rng([seed, h, w, k, c, s])
                         .standard_normal((c, h, w)).astype(np.float32)
@@ -189,7 +177,7 @@ def run_knn_suite(seed: int = 0, seeds: int = KNN_SEEDS) -> PropertyResult:
         c = 3
         x = rng.standard_normal((2, c, h, w)).astype(np.float32)
         graph = build_fixed_offsets(h, w, k)
-        proj = _random_proj(rng, 2 * c, c)
+        proj = random_conv_bn(rng, 2 * c, c, np.float32)
         via_adj = mrconv_knn(x, adjacency_from_fixed_graph(graph, 2), proj)
         via_gather = mrconv_gather_oracle(x, graph, proj)
         if not np.array_equal(via_adj, via_gather):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from mobilevig import arch
 from mobilevig.arch import (
     INIT_BOUND,
     INIT_STD,
@@ -13,6 +14,7 @@ from mobilevig.arch import (
     count_params,
     downsample_forward,
     get_variant,
+    layer_shapes,
     mbconv_forward,
     model_forward,
     model_forward_with_stages,
@@ -223,6 +225,32 @@ def test_build_model_init_statistics():
         else:
             assert np.all(np.abs(arr) <= 2 * 0.02 + 1e-7), name
             assert arr.dtype == np.float32
+
+
+def test_layer_plan_matches_forward(monkeypatch):
+    # the forward's block calls, in order, with the kinds and output shapes
+    # layer_shapes predicts; the blocks are looked up as module globals at
+    # call time (the benchmark's tracer patches those names)
+    cfg = VARIANTS["Ti"]
+    w = build_model(cfg, 0)
+    seen = []
+
+    def recorder(kind, fn):
+        def record(x, p):
+            out = fn(x, p)
+            seen.append((kind, out.shape))
+            return out
+        return record
+
+    for kind, attr in (("stem", "stem_forward"), ("mbconv", "mbconv_forward"),
+                       ("downsample", "downsample_forward"), ("svga", "svga_block_forward")):
+        monkeypatch.setattr(arch, attr, recorder(kind, getattr(arch, attr)))
+    model_forward(rand((1, 3, 64, 64), seed=3), w, cfg)
+    shapes = layer_shapes(cfg, 64, 64)
+    assert seen == [(layer.kind, (1, layer.convs[-1][1].out_channels, *hw))
+                    for layer, _, hw in shapes if layer.kind != "head"]
+    assert shapes[-1][0].kind == "head"
+    assert count_macs(cfg, 64, 64) == sum(macs for _, macs, _ in shapes)
 
 
 def test_named_params_unique():

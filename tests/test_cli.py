@@ -87,6 +87,19 @@ def test_bench_env_records_settings_in_effect(capsys, monkeypatch, tmp_path):
     assert env["python"] == platform.python_version()
 
 
+def test_bench_leaves_thread_vars_as_it_found_them(capsys, monkeypatch):
+    import os
+
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    assert main(["bench", "--size", "4", "--channels", "4", "--reps", "30",
+                 "--warmup", "5", "--include-projection"]) == 0
+    assert "OPENBLAS_NUM_THREADS" not in os.environ
+    assert "MKL_NUM_THREADS" not in os.environ
+    assert os.environ["OMP_NUM_THREADS"] == "3"
+
+
 def test_bench_rejects_low_reps(capsys):
     rc = main(["bench", "--reps", "10", "--size", "7", "--channels", "4"])
     assert rc == 2

@@ -172,6 +172,12 @@ def test_conv_shape_errors():
         ConvSpec(3, 2, (1, 1), groups=2)  # in_channels not divisible
 
 
+def test_conv_rejects_grouped_conv_that_is_not_depthwise():
+    spec = ConvSpec(4, 8, (1, 1), groups=2)
+    with pytest.raises(ValueError, match="groups=2"):
+        conv2d(rand((1, 4, 3, 3)), spec, rand(spec.weight_shape()), np.zeros(8, np.float32))
+
+
 # Pixel grids below, at and above the GEMM chunk width, and not multiples of it.
 _INVARIANCE_GRIDS = [(5, 7), (8, 8), (9, 11), (16, 20)]
 _INVARIANCE_SPECS = [ConvSpec(96, 40, (1, 1)),
