@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .svga import FfnWeights, GrapherWeights, SvgaBlockWeights, svga_block_forward
+from .svga import SvgaBlockWeights, block_convs, block_weights, svga_block_forward
 from .tensor_core import (
     Array,
     ConvBn,
@@ -134,14 +134,7 @@ def layer_plan(cfg: VariantConfig) -> list[Layer]:
                  for b in range(cfg.stage_depths[i])]
         plan.append(Layer(f"downsample{i + 1}", "downsample",
                           (("", ConvSpec(c, cfg.stage_channels[i + 1], (3, 3), 2, 1)),)))
-    f = cfg.ffn_ratio * c4
-    svga = (
-        ("grapher.w_in", ConvSpec(c4, c4, (1, 1))),
-        ("grapher.proj", ConvSpec(2 * c4, 2 * c4, (1, 1))),
-        ("grapher.w_out", ConvSpec(2 * c4, c4, (1, 1))),
-        ("ffn.w1", ConvSpec(c4, f, (1, 1))),
-        ("ffn.w2", ConvSpec(f, c4, (1, 1))),
-    )
+    svga = block_convs(c4, cfg.ffn_ratio)
     plan += [Layer(f"stage4.{b}", "svga", svga) for b in range(cfg.stage_depths[3])]
     plan.append(Layer("head.conv", "head", (("", ConvSpec(c4, cfg.head_hidden, (1, 1))),)))
     return plan
@@ -171,9 +164,7 @@ def build_model(cfg: VariantConfig, seed: int = 0, *, skeleton: bool = False) ->
         elif layer.kind == "downsample":
             downsamples.append(p[0])
         elif layer.kind == "svga":
-            svga_blocks.append(SvgaBlockWeights(
-                grapher=GrapherWeights(*p[:3]),
-                ffn=FfnWeights(*p[3:], ratio=cfg.ffn_ratio), k=cfg.k))
+            svga_blocks.append(block_weights(p, cfg.k))
         else:
             head_conv = p[0]
     head_weight = draw((cfg.num_classes, cfg.head_hidden))

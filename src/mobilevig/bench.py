@@ -9,7 +9,6 @@ be included symmetrically for both mechanisms.
 from __future__ import annotations
 
 import csv
-import json
 import os
 import platform
 import time
@@ -47,11 +46,6 @@ class BenchReport:
 
     def to_dict(self) -> dict:
         return {"env": dict(self.env), "records": [asdict(r) for r in self.records]}
-
-    def write_json(self, path: str) -> None:
-        with open(path, "w") as f:
-            json.dump(self.to_dict(), f, indent=2)
-            f.write("\n")
 
     def write_csv(self, path: str) -> None:
         fields = ["mechanism", "h", "w", "c", "k", "batch", "reps",

@@ -30,6 +30,12 @@ def _default_seed() -> int:
     return int(os.environ.get("MVIG_SEED", "0"))
 
 
+def _write_json(path: str, doc: dict) -> None:
+    with open(path, "w") as f:
+        json.dump(doc, f, indent=2)
+        f.write("\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mobilevig",
@@ -120,9 +126,7 @@ def _cmd_describe(args) -> int:
                 for name, out, op, ch, blocks in rows
             ],
         }
-        with open(args.json_path, "w") as f:
-            json.dump(doc, f, indent=2)
-            f.write("\n")
+        _write_json(args.json_path, doc)
     return 0
 
 
@@ -140,9 +144,7 @@ def _cmd_verify(args) -> int:
         doc = {"seed": seed, "suites": [
             {"name": r.name, "ok": r.ok, "detail": r.detail,
              "counterexample": r.counterexample} for r in results]}
-        with open(args.json_path, "w") as f:
-            json.dump(doc, f, indent=2)
-            f.write("\n")
+        _write_json(args.json_path, doc)
     return 0 if all(r.ok for r in results) else 1
 
 
@@ -164,7 +166,7 @@ def _cmd_bench(args) -> int:
               f"{r.median_ns / 1e6:>10.3f}ms {r.p10_ns / 1e6:>10.3f}ms "
               f"{r.p90_ns / 1e6:>10.3f}ms")
     if args.json_path:
-        report.write_json(args.json_path)
+        _write_json(args.json_path, report.to_dict())
     if args.csv_path:
         report.write_csv(args.csv_path)
     return 0
@@ -259,9 +261,7 @@ def _cmd_forward(args) -> int:
             "top5": [[int(i), float(logits[0, i])] for i in top],
             "logits": [[float(v) for v in row] for row in logits],
         }
-        with open(args.json_path, "w") as f:
-            json.dump(doc, f, indent=2)
-            f.write("\n")
+        _write_json(args.json_path, doc)
     return 0
 
 

@@ -19,13 +19,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter
 
 import numpy as np
 
 from .svga import (
-    FfnWeights,
-    GrapherWeights,
     SvgaBlockWeights,
+    block_convs,
+    block_weights,
+    fold_shifts,
     svga_block_forward,
 )
 from .tensor_core import Array, ConvBn, ConvSpec, conv2d, conv_bn, gelu, gelu_grad, roll_2d
@@ -40,9 +42,6 @@ class _Tape:
     conv_bn: dict[str, tuple[Array, Array]] = field(default_factory=dict)
     act_pre: dict[str, Array] = field(default_factory=dict)
     folds: list[tuple[int, int, Array, Array]] = field(default_factory=list)
-    t1: Array | None = None
-    xj: Array | None = None
-    y: Array | None = None
     min_tie_gap: float = math.inf
     min_act_abs: float = math.inf
 
@@ -72,14 +71,9 @@ def _conv_bn_backward(g: Array, p: ConvBn, name: str, tape: _Tape,
     return np.einsum("nohw,oi->nihw", g_pre, wmat)
 
 
-def _fold_shifts(h: int, w: int, k: int) -> list[tuple[int, int]]:
-    return [(m * k, 0) for m in range(0, -(-h // k))] + \
-           [(0, m * k) for m in range(0, -(-w // k))]
-
-
 def _aggregate_tape(x: Array, k: int, tape: _Tape) -> Array:
     xj = np.zeros_like(x)
-    for down, right in _fold_shifts(x.shape[2], x.shape[3], k):
+    for down, right in fold_shifts(x.shape[2], x.shape[3], k):
         cand = x - roll_2d(x, down, right)
         tape.folds.append((down, right, cand, xj))
         if (down, right) != (0, 0):
@@ -122,15 +116,12 @@ def _forward_tape(x: Array, w: SvgaBlockWeights, identity_act: bool) -> tuple[Ar
     tape = _Tape()
     c = x.shape[1]
     t1 = _conv_bn_tape(x, w.grapher.w_in, "grapher.w_in", tape)
-    tape.t1 = t1
     xj = _aggregate_tape(t1, w.k, tape)
-    tape.xj = xj
     cat = np.concatenate([t1, xj], axis=1)
     t3 = _conv_bn_tape(cat, w.grapher.proj, "grapher.proj", tape)
     t4 = _act_tape(t3, "grapher", tape, identity_act)
     t6 = _conv_bn_tape(t4, w.grapher.w_out, "grapher.w_out", tape)
     y = t6 + x
-    tape.y = y
     u1 = _conv_bn_tape(y, w.ffn.w1, "ffn.w1", tape)
     u2 = _act_tape(u1, "ffn", tape, identity_act)
     u4 = _conv_bn_tape(u2, w.ffn.w2, "ffn.w2", tape)
@@ -142,7 +133,7 @@ def _forward_tape(x: Array, w: SvgaBlockWeights, identity_act: bool) -> tuple[Ar
 def _backward_tape(tape: _Tape, w: SvgaBlockWeights, identity_act: bool,
                    g_z: Array) -> dict[str, Array]:
     grads: dict[str, Array] = {}
-    c = tape.t1.shape[1]
+    c = g_z.shape[1]
     g_y = g_z.copy()
     g_u2 = _conv_bn_backward(g_z, w.ffn.w2, "ffn.w2", tape, grads)
     g_u1 = _act_backward(g_u2, "ffn", tape, identity_act)
@@ -197,7 +188,7 @@ def _exact_identity_loss(x: Array, w: SvgaBlockWeights) -> Fraction:
     xe = _exact(x)
     t1 = _exact_conv_bn(xe, w.grapher.w_in)
     xj = np.zeros_like(t1[0])
-    for down, right in _fold_shifts(x.shape[2], x.shape[3], w.k):
+    for down, right in fold_shifts(x.shape[2], x.shape[3], w.k):
         xj = np.maximum(t1[0] - roll_2d(t1[0], down, right), xj)
     t3 = _exact_conv_bn((np.concatenate([t1[0], xj], axis=1), t1[1]), w.grapher.proj)
     y = _exact_add(_exact_conv_bn(t3, w.grapher.w_out), xe)
@@ -221,29 +212,18 @@ def random_conv_bn(rng: np.random.Generator, in_c: int, out_c: int, dtype) -> Co
 
 def random_block_weights(c: int, k: int, rng: np.random.Generator,
                          ffn_ratio: int = 4, dtype=np.float64) -> SvgaBlockWeights:
-    """Random SVGA block weights (float64 default, as the checker needs)."""
-    grapher = GrapherWeights(
-        w_in=random_conv_bn(rng, c, c, dtype),
-        proj=random_conv_bn(rng, 2 * c, 2 * c, dtype),
-        w_out=random_conv_bn(rng, 2 * c, c, dtype),
-    )
-    ffn = FfnWeights(
-        w1=random_conv_bn(rng, c, ffn_ratio * c, dtype),
-        w2=random_conv_bn(rng, ffn_ratio * c, c, dtype),
-        ratio=ffn_ratio,
-    )
-    return SvgaBlockWeights(grapher=grapher, ffn=ffn, k=k)
+    """Random SVGA block weights (float64 default, as the checker needs),
+    drawn conv by conv in block_convs order."""
+    return block_weights([random_conv_bn(rng, spec.in_channels, spec.out_channels, dtype)
+                          for _, spec in block_convs(c, ffn_ratio)], k)
 
 
 def _named_weight_arrays(w: SvgaBlockWeights) -> list[tuple[str, Array]]:
     out = []
-    for prefix, cb in (("grapher.w_in", w.grapher.w_in),
-                       ("grapher.proj", w.grapher.proj),
-                       ("grapher.w_out", w.grapher.w_out),
-                       ("ffn.w1", w.ffn.w1),
-                       ("ffn.w2", w.ffn.w2)):
-        out += [(prefix + ".weight", cb.weight), (prefix + ".bias", cb.bias),
-                (prefix + ".gamma", cb.gamma), (prefix + ".beta", cb.beta)]
+    for path, _ in block_convs(1, 1):  # paths only; they are the same at every width
+        cb = attrgetter(path)(w)
+        out += [(path + ".weight", cb.weight), (path + ".bias", cb.bias),
+                (path + ".gamma", cb.gamma), (path + ".beta", cb.beta)]
     return out
 
 

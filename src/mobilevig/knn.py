@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .svga import FixedGraph
-from .tensor_core import Array, ConvBn, _require, concat_channels, conv_bn
+from .svga import FixedGraph, mrconv_project
+from .tensor_core import Array, ConvBn, _require
 
 
 @dataclass
@@ -105,5 +105,4 @@ def knn_aggregate(x: Array, adj: KnnAdjacency) -> Array:
 
 def mrconv_knn(x: Array, adj: KnnAdjacency, proj: ConvBn) -> Array:
     """Gather-based max-relative graph convolution over a KNN adjacency."""
-    xj = knn_aggregate(x, adj)
-    return conv_bn(concat_channels(x, xj), proj)
+    return mrconv_project(x, knn_aggregate(x, adj), proj)

@@ -16,6 +16,7 @@ import numpy as np
 from .tensor_core import (
     Array,
     ConvBn,
+    ConvSpec,
     _require,
     concat_channels,
     conv_bn,
@@ -56,26 +57,25 @@ def build_fixed_offsets(h: int, w: int, k: int) -> FixedGraph:
                       col_offsets=tuple(range(k, h, k)))
 
 
+def fold_shifts(h: int, w: int, k: int) -> list[tuple[int, int]]:
+    """The (down, right) rolls mrconv_aggregate folds over, in fold order:
+    downward by m*k while m*k < h, then rightward by m*k while m*k < w, each
+    from m = 0."""
+    return [(m * k, 0) for m in range(0, -(-h // k))] + \
+           [(0, m * k) for m in range(0, -(-w // k))]
+
+
 def mrconv_aggregate(x: Array, k: int) -> Array:
     """Max-relative feature map X_j via circular rolls.
 
-    Starting from zeros, folds max(X - roll(X, m*k), acc) over m = 0, 1, ...
-    for downward rolls while m*k < h, then rightward rolls while m*k < w.
-    The m = 0 terms are identically zero, which clamps the result at >= 0.
+    Starting from zeros, folds max(X - roll(X, down, right), acc) over
+    fold_shifts. The (0, 0) terms are identically zero, which clamps the
+    result at >= 0.
     """
     _require(k >= 1, f"connection stride k must be >= 1, got {k}")
-    h, w = x.shape[2], x.shape[3]
     xj = np.zeros_like(x)
-    m = 0
-    while m * k < h:
-        xc = elem_sub(x, roll_2d(x, m * k, 0))
-        xj = elem_max(xc, xj)
-        m += 1
-    m = 0
-    while m * k < w:
-        xr = elem_sub(x, roll_2d(x, 0, m * k))
-        xj = elem_max(xr, xj)
-        m += 1
+    for down, right in fold_shifts(x.shape[2], x.shape[3], k):
+        xj = elem_max(elem_sub(x, roll_2d(x, down, right)), xj)
     return xj
 
 
@@ -119,10 +119,7 @@ def mrconv_gather_oracle(x: Array, graph: FixedGraph, proj: ConvBn) -> Array:
 @dataclass
 class GrapherWeights:
     """Pointwise in-projection, max-relative step, pointwise out-projection.
-
-    Channel plan for stage width C: w_in C -> C, mrconv projection 2C -> 2C
-    (groups 1), w_out 2C -> C. The residual is the raw block input.
-    """
+    The residual is the raw block input."""
 
     w_in: ConvBn
     proj: ConvBn
@@ -131,11 +128,10 @@ class GrapherWeights:
 
 @dataclass
 class FfnWeights:
-    """Two pointwise layers with a GeLU between, hidden width ratio * C."""
+    """Two pointwise layers with a GeLU between."""
 
     w1: ConvBn
     w2: ConvBn
-    ratio: int = 4
 
 
 @dataclass
@@ -143,6 +139,24 @@ class SvgaBlockWeights:
     grapher: GrapherWeights
     ffn: FfnWeights
     k: int
+
+
+def block_convs(c: int, ffn_ratio: int) -> tuple[tuple[str, ConvSpec], ...]:
+    """The convs of an SVGA block of width c, as (path inside
+    SvgaBlockWeights, spec) pairs in the order the block applies them."""
+    return (
+        ("grapher.w_in", ConvSpec(c, c, (1, 1))),
+        ("grapher.proj", ConvSpec(2 * c, 2 * c, (1, 1))),
+        ("grapher.w_out", ConvSpec(2 * c, c, (1, 1))),
+        ("ffn.w1", ConvSpec(c, ffn_ratio * c, (1, 1))),
+        ("ffn.w2", ConvSpec(ffn_ratio * c, c, (1, 1))),
+    )
+
+
+def block_weights(convs: list[ConvBn], k: int) -> SvgaBlockWeights:
+    """SvgaBlockWeights from its ConvBns, given in block_convs order."""
+    return SvgaBlockWeights(grapher=GrapherWeights(*convs[:3]),
+                            ffn=FfnWeights(*convs[3:]), k=k)
 
 
 def grapher_forward(x: Array, weights: GrapherWeights, k: int) -> Array:

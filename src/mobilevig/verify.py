@@ -7,11 +7,12 @@ failure can be reproduced directly.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
+from .bench import percentiles_ns, time_once_ns
 from .grad_check import grad_check_svga, random_block_weights, random_conv_bn
 from .knn import adjacency_from_fixed_graph, knn_graph, mrconv_knn
 from .svga import build_fixed_offsets, mrconv_gather_oracle, mrconv_roll, svga_block_forward
@@ -199,24 +200,17 @@ def run_knn_suite(seed: int = 0, seeds: int = KNN_SEEDS) -> PropertyResult:
         f"cost ratio {ratio:.1f}x")
 
 
-def _median_time(fn, reps: int = 15) -> float:
-    fn()
-    samples = []
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        fn()
-        samples.append(time.perf_counter() - t0)
-    return float(np.median(samples))
-
-
 def _knn_cost_ratio(seed: int) -> float:
     rng = np.random.default_rng([seed, 14])
     c = 16
     small = rng.standard_normal((1, c, 7, 7)).astype(np.float32)
     big = rng.standard_normal((1, c, 14, 14)).astype(np.float32)
-    t_small = _median_time(lambda: knn_graph(small, 9))
-    t_big = _median_time(lambda: knn_graph(big, 9))
-    return t_big / t_small
+    medians = []
+    for x in (small, big):
+        step = partial(knn_graph, x, 9)
+        step()  # warm-up
+        medians.append(percentiles_ns([time_once_ns(step) for _ in range(15)])[0])
+    return medians[1] / medians[0]
 
 
 SUITES = {

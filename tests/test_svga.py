@@ -37,7 +37,7 @@ def zero_block_weights(c, k, ffn_ratio=4):
         return identity_conv_bn(spec, np.zeros(spec.weight_shape(), np.float32))
 
     grapher = GrapherWeights(w_in=zcb(c, c), proj=zcb(2 * c, 2 * c), w_out=zcb(2 * c, c))
-    ffn = FfnWeights(w1=zcb(c, ffn_ratio * c), w2=zcb(ffn_ratio * c, c), ratio=ffn_ratio)
+    ffn = FfnWeights(w1=zcb(c, ffn_ratio * c), w2=zcb(ffn_ratio * c, c))
     return SvgaBlockWeights(grapher=grapher, ffn=ffn, k=k)
 
 
@@ -193,7 +193,7 @@ def test_ffn_single_pixel_scalar_chain():
     # w1 = w2 = 1, identity BN: z = gelu(x) + x
     spec1 = ConvSpec(1, 1, (1, 1))
     ffn = FfnWeights(w1=identity_conv_bn(spec1, np.ones((1, 1, 1, 1))),
-                     w2=identity_conv_bn(spec1, np.ones((1, 1, 1, 1))), ratio=1)
+                     w2=identity_conv_bn(spec1, np.ones((1, 1, 1, 1))))
     for val in (0.7, -1.3, 2.0):
         x = np.full((1, 1, 1, 1), val, np.float32)
         want = val * 0.5 * (1.0 + math.erf(val / math.sqrt(2.0))) + val

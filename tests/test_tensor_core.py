@@ -225,10 +225,14 @@ def test_dense_1x1_conv_bitwise_on_pixel_subsets(h, w, dtype):
                           conv2d(x, spec, wgt, b)[:, :, 3:3 + h, 5:5 + w])
 
 
+# a single output channel takes _gemm_chunked's elementwise branch: BLAS
+# would run it as a matrix-vector product, whose order depends on the pixel
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("h,w", _INVARIANCE_GRIDS)
-def test_dense_1x1_conv_bitwise_under_pixel_permutation(h, w, dtype):
-    spec = _INVARIANCE_SPECS[0]
+@pytest.mark.parametrize("h,w,spec", [
+    pytest.param(h, w, spec, id=f"{h}-{w}{suffix}")
+    for spec, suffix in ((_INVARIANCE_SPECS[0], ""), (ConvSpec(96, 1, (1, 1)), "-oc1"))
+    for h, w in _INVARIANCE_GRIDS])
+def test_dense_1x1_conv_bitwise_under_pixel_permutation(h, w, spec, dtype):
     rng = np.random.default_rng([h, w])
     x = rng.standard_normal((1, spec.in_channels, h, w)).astype(dtype)
     wgt = rng.standard_normal(spec.weight_shape()).astype(dtype)
