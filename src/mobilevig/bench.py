@@ -9,10 +9,13 @@ be included symmetrically for both mechanisms.
 from __future__ import annotations
 
 import csv
+import ctypes
 import os
 import platform
+import subprocess
 import time
 from dataclasses import asdict, dataclass
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -23,6 +26,11 @@ from .svga import mrconv_aggregate, mrconv_roll
 
 MIN_REPS = 30
 MIN_WARMUP = 5
+
+# thread-count getters across OpenBLAS builds (plain, 64-bit int, scipy's)
+_OPENBLAS_GET_THREADS = ("openblas_get_num_threads", "openblas_get_num_threads64_",
+                         "scipy_openblas_get_num_threads64_",
+                         "scipy_openblas_get_num_threads")
 
 
 @dataclass
@@ -57,18 +65,67 @@ class BenchReport:
                 writer.writerow(asdict(r))
 
 
+def _lines(path: str) -> list[str]:
+    try:
+        with open(path) as f:
+            return f.read().splitlines()
+    except OSError:  # no /proc on this platform
+        return []
+
+
+def _blas_in_force() -> list[dict]:
+    """The thread count each OpenBLAS mapped into this process reports,
+    asked through ctypes."""
+    paths = dict.fromkeys(line.split()[-1] for line in _lines("/proc/self/maps")
+                          if "openblas" in line.lower() and ".so" in line)
+    out = []
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        getter = next((getattr(lib, s) for s in _OPENBLAS_GET_THREADS if hasattr(lib, s)),
+                      None)
+        if getter is not None:
+            getter.restype, getter.argtypes = ctypes.c_int, []
+        out.append({"library": os.path.basename(path),
+                    "threads": getter() if getter is not None else None})
+    return out
+
+
+def _cpu_model() -> str | None:
+    return next((line.split(":", 1)[1].strip() for line in _lines("/proc/cpuinfo")
+                 if line.startswith("model name")), None)
+
+
+def _git_commit() -> str | None:
+    """HEAD of the checkout this package runs from, or None outside one."""
+    here = Path(__file__).resolve().parent
+    # the ceiling keeps git from reporting a repository that merely encloses
+    # an installed copy (src/mobilevig sits two levels below a checkout root)
+    env = {**os.environ, "GIT_CEILING_DIRECTORIES": str(here.parents[2])}
+    try:
+        done = subprocess.run(["git", "rev-parse", "HEAD"], cwd=here, env=env,
+                              capture_output=True, text=True, timeout=30)
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    return done.stdout.strip() if done.returncode == 0 else None
+
+
 def environment(threads: int) -> dict:
     """The run's settings as they took effect: the requested thread count,
-    the BLAS numpy was built against, the thread variables set in this
-    process's environment, and the numpy and Python versions."""
+    the BLAS numpy was built against and the thread count each loaded
+    OpenBLAS reports, the thread variables set in this process's
+    environment, the CPU model, the numpy and Python versions and the git
+    commit."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
         "threads": threads,
         "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "blas_in_force": _blas_in_force(),
         "thread_vars": {k: v for k, v in sorted(os.environ.items())
                         if k.endswith("_NUM_THREADS")},
+        "cpu_model": _cpu_model(),
         "numpy": np.__version__,
         "python": platform.python_version(),
+        "git_commit": _git_commit(),
     }
 
 

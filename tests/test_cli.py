@@ -76,7 +76,14 @@ def test_bench_env_records_settings_in_effect(capsys, monkeypatch, tmp_path):
     assert main(["bench", "--mechanism", "svga", "--size", "7", "--channels", "8",
                  "--reps", "30", "--warmup", "5", "--json", str(out_json)]) == 0
     env = json.loads(out_json.read_text())["env"]
-    assert set(env) == {"threads", "blas", "thread_vars", "numpy", "python"}
+    assert set(env) == {"threads", "blas", "blas_in_force", "thread_vars", "cpu_model",
+                        "numpy", "python", "git_commit"}
+    # numpy is already loaded here, so no thread count is asserted
+    for lib in env["blas_in_force"]:
+        assert set(lib) == {"library", "threads"} and "openblas" in lib["library"].lower()
+    assert env["cpu_model"] is None or isinstance(env["cpu_model"], str)
+    commit = env["git_commit"]
+    assert commit is None or (len(commit) == 40 and set(commit) <= set("0123456789abcdef"))
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     assert env["blas"] == {"name": blas["name"], "version": blas["version"]}
     assert env["blas"]["name"] and env["blas"]["version"]

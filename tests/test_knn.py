@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mobilevig import knn
 from mobilevig.knn import (
     KnnAdjacency,
     adjacency_from_fixed_graph,
@@ -23,6 +24,28 @@ def rand_proj(in_c, out_c, seed=0):
     spec = ConvSpec(in_c, out_c, (1, 1))
     return identity_conv_bn(spec, rng.standard_normal(spec.weight_shape()),
                             rng.standard_normal(out_c))
+
+
+def full_sort_knn(x, k):
+    """The brute-force graph: every pair's float64 distance summed one channel
+    at a time from zero, self at inf, each full row stably argsorted."""
+    n, c, h, w = x.shape
+    feats = x.transpose(0, 2, 3, 1).reshape(n, h * w, c).astype(np.float64)
+    out = []
+    for f in feats:
+        d = np.zeros((h * w, h * w))
+        for ch in range(c):
+            diff = f[:, ch, None] - f[None, :, ch]
+            d += diff * diff
+        np.fill_diagonal(d, np.inf)
+        out.append(np.argsort(d, axis=1, kind="stable")[:, :k])
+    return np.stack(out)
+
+
+def assert_same_graph(x, k):
+    got = knn_graph(x, k).neighbor_idx
+    want = full_sort_knn(x, k)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_identical_pair_selects_each_other():
@@ -73,6 +96,99 @@ def test_distances_accumulate_per_channel():
     d = pairwise_sq_dists(feats)
     assert d[0, 1] == d[1, 0] == 25.0
     assert d[0, 0] == 0.0
+
+
+def test_distances_for_index_pairs_equal_full_matrix_entries():
+    feats = rand((30, 40), seed=6)
+    full = pairwise_sq_dists(feats)
+    rows = np.array([[3], [0], [29]])
+    cols = np.random.default_rng(7).integers(0, 30, size=(30, 5))
+    assert np.array_equal(pairwise_sq_dists(feats, rows, cols[:3]), full[rows, cols[:3]])
+    assert np.array_equal(pairwise_sq_dists(feats, cols=cols), full[np.arange(30)[:, None], cols])
+    assert np.array_equal(pairwise_sq_dists(feats, rows=rows), full[rows[:, 0]])
+
+
+@pytest.mark.parametrize("shape,k", [
+    ((2, 16, 6, 7), 5),       # batch 2
+    ((1, 8, 5, 6), 29),       # k = nodes - 1: every other node is a candidate
+    ((1, 1, 8, 8), 9),        # one channel
+    ((2, 3, 1, 2), 1),        # two nodes
+    ((1, 256, 28, 28), 9),    # graph28's shape
+], ids=["batch2", "k-all", "c1", "two-nodes", "28x28-c256"])
+def test_fast_graph_matches_full_sort(shape, k):
+    assert_same_graph(rand(shape, seed=sum(shape) + k), k)
+
+
+def test_fast_graph_matches_full_sort_on_float64_input():
+    x = np.random.default_rng(8).standard_normal((2, 12, 7, 7))
+    assert_same_graph(x, 9)
+
+
+def test_fast_graph_matches_full_sort_with_exact_ties():
+    # few distinct one-channel values: most distances tie exactly, so the
+    # order rests on the lower-index tie-break, over every other node
+    x = np.random.default_rng(9).integers(0, 4, size=(1, 1, 5, 6)).astype(np.float32)
+    for k in (1, 7, 29):
+        assert_same_graph(x, k)
+
+
+def test_fast_graph_matches_full_sort_at_planted_boundary_ties():
+    # node j is B + e_j for a large common offset B: every pair is exactly 2
+    # apart, while the Gram form's rounding (on norms near |B|^2) scatters
+    # its ranking, so the candidate boundary cuts through the tie
+    c, h, w = 40, 5, 7
+    rng = np.random.default_rng(10)
+    for _ in range(4):
+        base = (1000 * rng.standard_normal(c)).astype(np.float32)
+        feats = np.tile(base, (h * w, 1))
+        feats[np.arange(h * w), rng.permutation(c)[:h * w]] += 1
+        x = feats.T.reshape(1, c, h, w)
+        for k in (1, 3, 9):
+            assert_same_graph(x, k)
+
+
+def test_fast_graph_matches_full_sort_at_rounding_near_ties():
+    # node 0 sits at the origin and every other node at a permutation of one
+    # vector: all are equally far from node 0 in exact arithmetic, and the
+    # float64 channel-by-channel sums alone decide the order
+    c, h, w = 256, 4, 6
+    rng = np.random.default_rng(11)
+    for _ in range(4):
+        v = rng.standard_normal(c).astype(np.float32)
+        feats = np.stack([np.zeros(c, np.float32)]
+                         + [v[rng.permutation(c)] for _ in range(h * w - 1)])
+        x = feats.T.reshape(1, c, h, w)
+        for k in (1, 4, 10):
+            assert_same_graph(x, k)
+
+
+def test_constant_features_fall_back_on_every_row(monkeypatch):
+    asked = []
+
+    def spy(features, rows=None, cols=None):
+        if rows is not None:
+            asked.extend(np.ravel(rows).tolist())
+        return pairwise_sq_dists(features, rows, cols)
+
+    monkeypatch.setattr(knn, "pairwise_sq_dists", spy)
+    x = np.full((1, 4, 5, 5), 3.0, np.float32)
+    assert_same_graph(x, 6)
+    assert sorted(asked) == list(range(25))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_features_match_full_sort(value):
+    x = rand((2, 6, 5, 5), seed=12)
+    x[0, 2, 1, 3] = value
+    x[1, :, 4, 4] = value
+    x[1, 0, 0, 0] = value
+    for k in (1, 9, 24):
+        assert_same_graph(x, k)
+
+
+def test_overflowing_features_match_full_sort():
+    x = np.random.default_rng(13).standard_normal((1, 5, 4, 4)) * 1e160
+    assert_same_graph(x, 4)
 
 
 def test_k_bounds_rejected():

@@ -6,8 +6,8 @@ import pytest
 from mobilevig.grad_check import random_block_weights
 from mobilevig.svga import (
     FfnWeights,
-    GrapherWeights,
-    SvgaBlockWeights,
+    block_convs,
+    block_weights,
     build_fixed_offsets,
     ffn_forward,
     gather_aggregate,
@@ -32,13 +32,8 @@ def rand_proj(in_c, out_c, seed=0):
 
 
 def zero_block_weights(c, k, ffn_ratio=4):
-    def zcb(cin, cout):
-        spec = ConvSpec(cin, cout, (1, 1))
-        return identity_conv_bn(spec, np.zeros(spec.weight_shape(), np.float32))
-
-    grapher = GrapherWeights(w_in=zcb(c, c), proj=zcb(2 * c, 2 * c), w_out=zcb(2 * c, c))
-    ffn = FfnWeights(w1=zcb(c, ffn_ratio * c), w2=zcb(ffn_ratio * c, c))
-    return SvgaBlockWeights(grapher=grapher, ffn=ffn, k=k)
+    return block_weights([identity_conv_bn(spec, np.zeros(spec.weight_shape(), np.float32))
+                          for _, spec in block_convs(c, ffn_ratio)], k)
 
 
 # --------------------------------------------------------- fixed offsets
