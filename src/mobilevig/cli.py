@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+import time
 
 
 def _positive_int(value: str) -> int:
@@ -135,17 +136,21 @@ def _cmd_verify(args) -> int:
 
     names = list(SUITES) if args.suite == "all" else [args.suite]
     seed = args.seed if args.seed is not None else _default_seed()
-    results = run_suites(names, seed=seed)
-    for r in results:
-        print(f"{'PASS' if r.ok else 'FAIL'} {r.name}: {r.detail}")
+    results = []
+    for name in names:
+        start = time.perf_counter()
+        [r] = run_suites([name], seed=seed)
+        seconds = time.perf_counter() - start
+        results.append((r, seconds))
+        print(f"{'PASS' if r.ok else 'FAIL'} {r.name}: {r.detail} ({seconds:.2f} s)")
         if not r.ok:
             print(f"counterexample: {json.dumps(r.counterexample)}", file=sys.stderr)
     if args.json_path:
         doc = {"seed": seed, "suites": [
-            {"name": r.name, "ok": r.ok, "detail": r.detail,
-             "counterexample": r.counterexample} for r in results]}
+            {"name": r.name, "ok": r.ok, "detail": r.detail, "seconds": seconds,
+             "counterexample": r.counterexample} for r, seconds in results]}
         _write_json(args.json_path, doc)
-    return 0 if all(r.ok for r in results) else 1
+    return 0 if all(r.ok for r, _ in results) else 1
 
 
 def _cmd_bench(args) -> int:

@@ -56,6 +56,7 @@ def pairwise_sq_dists(features: Array, rows: Array | None = None,
     full (nodes, nodes) matrix. Accumulated one channel at a time in
     ascending channel order from zero, in float64, so each pair's distance
     is a fixed, reproducible scalar op sequence whichever pairs are asked for.
+    Non-finite results raise no floating-point warnings.
     """
     f = np.asarray(features, dtype=np.float64)
     every = np.arange(f.shape[0])
@@ -63,10 +64,13 @@ def pairwise_sq_dists(features: Array, rows: Array | None = None,
     cols = every[None, :] if cols is None else cols
     d = np.zeros(np.broadcast_shapes(np.shape(rows), np.shape(cols)))
     diff = np.empty_like(d)
-    for col in np.ascontiguousarray(f.T):
-        np.subtract(col[rows], col[cols], out=diff)
-        diff *= diff
-        d += diff
+    # NaN, inf and overflowing features give NaN or inf distances, which
+    # knn_graph ranks like any other value
+    with np.errstate(invalid="ignore", over="ignore"):
+        for col in np.ascontiguousarray(f.T):
+            np.subtract(col[rows], col[cols], out=diff)
+            diff *= diff
+            d += diff
     return d
 
 
@@ -177,8 +181,13 @@ def adjacency_from_fixed_graph(graph: FixedGraph, batch: int) -> KnnAdjacency:
 def knn_aggregate(x: Array, adj: KnnAdjacency) -> Array:
     """Max-relative features via the 3-D node layout and index gathers.
 
-    The 4D -> 3D and 3D -> 4D layout changes are materialized copies on
-    purpose: they are part of the cost this baseline carries.
+    Each slot's neighbours are gathered into one buffer and folded into a
+    running minimum seeded with the node itself; then X_j = max(x - m, +0),
+    which for finite inputs is bitwise the max over slots of x - neighbour
+    folded from zeros (the arithmetic of svga.mrconv_aggregate). At a -inf
+    node, or any non-finite node when k = 0, x - m is NaN where that fold
+    gives 0. The 4D -> 3D and 3D -> 4D layout changes are materialized
+    copies on purpose: they are part of the cost this baseline carries.
     """
     n, c, h, w = x.shape
     _require(adj.h == h and adj.w == w,
@@ -186,11 +195,14 @@ def knn_aggregate(x: Array, adj: KnnAdjacency) -> Array:
     _require(adj.neighbor_idx.shape[0] == n,
              f"adjacency batch {adj.neighbor_idx.shape[0]} != input batch {n}")
     nodes = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).reshape(n, h * w, c)
-    xj = np.zeros_like(nodes)
+    m = nodes  # the self term
+    acc, gathered = np.empty_like(nodes), np.empty_like(nodes)
     for slot in range(adj.k):
-        gathered = np.take_along_axis(
-            nodes, adj.neighbor_idx[:, :, slot][:, :, None], axis=1)
-        xj = np.maximum(nodes - gathered, xj)
+        for b in range(n):
+            np.take(nodes[b], adj.neighbor_idx[b, :, slot], axis=0, out=gathered[b])
+        m = np.minimum(m, gathered, out=acc)
+    xj = np.subtract(nodes, m, out=acc)
+    np.maximum(xj, xj.dtype.type(0), out=xj)
     return np.ascontiguousarray(xj.reshape(n, h, w, c).transpose(0, 3, 1, 2))
 
 

@@ -2,13 +2,21 @@
 max-relative graph convolution, an explicit-gather oracle for it, and the
 Grapher / FFN / SVGA block built on top.
 
-The roll path and the gather oracle must agree bitwise: both form the same
-(pixel, neighbor) difference pairs and fold them through elementwise max in
-the same order, so every float operation is identical between the two.
+The roll path and the gather oracle must agree bitwise on finite inputs.
+The oracle folds max(x - y) over each (pixel, neighbour) pair from zeros;
+the roll path computes max(x - m, +0) with m the minimum over the pixel's
+neighbourhood, itself included. Float subtraction is correctly rounded and
+monotone, so max_y fl(x - y) = fl(x - min_y y) bit for bit, and min is
+exact in any order. Infinities are outside the contract. The oracle's fold
+has no self term, so with finite neighbours it gives inf at a +inf pixel
+and 0 at a -inf pixel. The roll path gives inf and NaN there (x - m with
+m = -inf), and a literal fold over fold_shifts, whose self term is
+inf - inf, gives NaN at both.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +32,6 @@ from .tensor_core import (
     elem_max,
     elem_sub,
     gelu,
-    roll_2d,
 )
 
 
@@ -58,25 +65,67 @@ def build_fixed_offsets(h: int, w: int, k: int) -> FixedGraph:
 
 
 def fold_shifts(h: int, w: int, k: int) -> list[tuple[int, int]]:
-    """The (down, right) rolls mrconv_aggregate folds over, in fold order:
+    """The (down, right) rolls that define X_j = max_s (x - roll(x, s)):
     downward by m*k while m*k < h, then rightward by m*k while m*k < w, each
-    from m = 0."""
+    from m = 0. mrconv_aggregate takes the minimum over exactly these
+    windows; the grad checker's tape and exact loss fold over them in this
+    order."""
     return [(m * k, 0) for m in range(0, -(-h // k))] + \
            [(0, m * k) for m in range(0, -(-w // k))]
 
 
-def mrconv_aggregate(x: Array, k: int) -> Array:
-    """Max-relative feature map X_j via circular rolls.
+def _window_min(x: Array, axis: int, k: int, bufs: tuple[Array, Array]) -> Array:
+    """min over m in [0, M) of roll(x, m*k) along `axis`, M = ceil(L / k):
+    each pixel's neighbourhood along that axis, itself included. x and the
+    two buffers are C-contiguous and of one shape.
 
-    Starting from zeros, folds max(X - roll(X, down, right), acc) over
-    fold_shifts. The (0, 0) terms are identically zero, which clamps the
-    result at >= 0.
+    Log-step doubling: W_2w = min(W_w, roll(W_w, w*k)) while 2w <= M, then
+    min(W_w, roll(W_w, (M - w)*k)) covers [0, w) and [M - w, M), which is
+    [0, M) because min is idempotent. Each roll is two slice pairs written
+    alternately into the buffers: one shift of the whole flat array, right
+    everywhere except where the roll wraps, then the wrapped lines. The
+    result is x itself when M == 1.
+    """
+    length = x.shape[axis]
+    lines = (math.prod(x.shape[:axis]), length, math.prod(x.shape[axis + 1:]))
+    span = -(-length // k)
+    covered = 1  # cur is the min over shifts m*k, m in [0, covered)
+    cur = x
+    while covered < span:
+        s = (covered if 2 * covered <= span else span - covered) * k
+        out = bufs[1] if cur is bufs[0] else bufs[0]
+        flat, flat_out = cur.reshape(-1), out.reshape(-1)
+        d = s * lines[2]
+        np.minimum(flat[d:], flat[:-d], out=flat_out[d:])
+        cur3, out3 = cur.reshape(lines), out.reshape(lines)
+        np.minimum(cur3[:, :s], cur3[:, length - s:], out=out3[:, :s])
+        cur = out
+        covered = min(2 * covered, span)
+    return cur
+
+
+def mrconv_aggregate(x: Array, k: int) -> Array:
+    """Max-relative feature map X_j = max over fold_shifts of x - roll(x, s),
+    computed as max(x - m, +0) with m the minimum over each pixel's
+    neighbourhood.
+
+    Subtraction is correctly rounded and monotone, so for finite inputs
+    max_s fl(x - y_s) = fl(x - min_s y_s) bit for bit; the (0, 0) shift puts
+    the pixel itself in the neighbourhood, so x - m >= 0. The clamp, with
+    +0 as the second operand (np.maximum returns it on a tie), turns a -0
+    difference into the +0 that folding from zeros gives. NaN propagates.
+    The column and row windows are taken by _window_min in O(log(h / k))
+    and O(log(w / k)) passes.
     """
     _require(k >= 1, f"connection stride k must be >= 1, got {k}")
-    xj = np.zeros_like(x)
-    for down, right in fold_shifts(x.shape[2], x.shape[3], k):
-        xj = elem_max(elem_sub(x, roll_2d(x, down, right)), xj)
-    return xj
+    x = np.ascontiguousarray(x)
+    p, q, xj = (np.empty(x.shape, x.dtype) for _ in range(3))
+    cols = _window_min(x, 2, k, (p, q))
+    spare = q if cols is p else p
+    rows = _window_min(x, 3, k, (spare, xj))
+    m = np.minimum(cols, rows, out=xj if rows is spare else spare)
+    np.subtract(x, m, out=xj)
+    return np.maximum(xj, xj.dtype.type(0), out=xj)
 
 
 def mrconv_project(x: Array, xj: Array, proj: ConvBn) -> Array:
@@ -92,9 +141,9 @@ def gather_aggregate(x: Array, graph: FixedGraph) -> Array:
     """X_j by explicit neighbor gather over the fixed graph.
 
     For each pixel p the neighbors are looked up through index tables built
-    from the offset lists; fold order matches mrconv_aggregate (column
-    offsets ascending, then row offsets ascending, seeded with the zero
-    self term).
+    from the offset lists, and max(x - neighbor) is folded from zeros,
+    column offsets ascending, then row offsets ascending: three passes per
+    neighbour, independent of mrconv_aggregate's window minima.
     """
     h, w = x.shape[2], x.shape[3]
     _require(graph.h == h and graph.w == w,

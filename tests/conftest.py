@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mobilevig
@@ -31,3 +32,29 @@ def run_with_blas_threads():
         return proc.stdout
 
     return run
+
+
+@pytest.fixture
+def signed_zero_input():
+    """Small integers, so that differences tie and cancel exactly, with +0.0
+    and -0.0 planted at a third of the positions."""
+    def make(shape, dtype, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.integers(-3, 4, size=shape).astype(dtype)
+        flat = x.reshape(-1)
+        pos = rng.choice(flat.size, size=max(1, flat.size // 3), replace=False)
+        flat[pos] = rng.choice([0.0, -0.0], size=pos.size)
+        return x
+
+    return make
+
+
+@pytest.fixture
+def assert_bitwise():
+    """Asserts equal dtype, shape, values and zero signs; NaN equals NaN."""
+    def check(got, want):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    return check

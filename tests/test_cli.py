@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 
 import numpy as np
@@ -47,6 +48,16 @@ def test_verify_grad_suite(capsys, tmp_path):
     assert "PASS gradient-check" in capsys.readouterr().out
     doc = json.loads(out_json.read_text())
     assert doc["suites"][0]["ok"] is True
+
+
+def test_verify_reports_each_suite_wall_time(capsys, tmp_path):
+    out_json = tmp_path / "verify.json"
+    rc = main(["verify", "--suite", "oracle", "--seed", "0", "--json", str(out_json)])
+    assert rc == 0
+    assert re.search(r"^PASS oracle-equivalence: .* \(\d+\.\d\d s\)$",
+                     capsys.readouterr().out, re.MULTILINE)
+    [suite] = json.loads(out_json.read_text())["suites"]
+    assert isinstance(suite["seconds"], float) and suite["seconds"] >= 0.0
 
 
 def test_bench_reports_and_files(capsys, tmp_path):
@@ -128,6 +139,7 @@ def test_bench_median_stable_when_reps_double(run_with_blas_threads):
     # over the run reaches both alike
     out = run_with_blas_threads("""
 import json
+import re
 from mobilevig.bench import aggregation_step, percentiles_ns, time_once_ns
 
 step = aggregation_step("knn", 14, 14, 64, 9, seed=2)

@@ -34,9 +34,10 @@ def full_sort_knn(x, k):
     out = []
     for f in feats:
         d = np.zeros((h * w, h * w))
-        for ch in range(c):
-            diff = f[:, ch, None] - f[None, :, ch]
-            d += diff * diff
+        with np.errstate(invalid="ignore", over="ignore"):
+            for ch in range(c):
+                diff = f[:, ch, None] - f[None, :, ch]
+                d += diff * diff
         np.fill_diagonal(d, np.inf)
         out.append(np.argsort(d, axis=1, kind="stable")[:, :k])
     return np.stack(out)
@@ -221,6 +222,45 @@ def test_empty_adjacency_reduces_to_projection():
     proj = rand_proj(4, 2, seed=5)
     want = conv_bn(concat_channels(x, np.zeros_like(x)), proj)
     assert np.array_equal(mrconv_knn(x, adj, proj), want)
+
+
+def slot_fold(x, adj):
+    """X_j as one gather, one subtract and one max per slot, folded from
+    zeros: the definition knn_aggregate must match bitwise."""
+    n, c, h, w = x.shape
+    nodes = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).reshape(n, h * w, c)
+    xj = np.zeros_like(nodes)
+    for slot in range(adj.k):
+        gathered = np.take_along_axis(nodes, adj.neighbor_idx[:, :, slot][:, :, None], axis=1)
+        xj = np.maximum(nodes - gathered, xj)
+    return np.ascontiguousarray(xj.reshape(n, h, w, c).transpose(0, 3, 1, 2))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_aggregate_equals_slot_fold_bitwise(dtype, signed_zero_input, assert_bitwise):
+    for h, w, c, k in ((7, 7, 16, 9), (5, 3, 7, 1), (4, 4, 5, 15), (1, 2, 3, 1), (9, 7, 33, 4)):
+        x = signed_zero_input((2, c, h, w), dtype, seed=h * w + c + k)
+        adj = knn_graph(x, k)
+        assert_bitwise(knn_aggregate(x, adj), slot_fold(x, adj))
+
+
+def test_aggregate_with_repeated_indices_equals_slot_fold(signed_zero_input, assert_bitwise):
+    rng = np.random.default_rng(7)
+    for h, w, c, k in ((4, 5, 3, 1), (7, 7, 9, 6), (3, 3, 33, 12)):
+        x = signed_zero_input((2, c, h, w), np.float32, seed=k)
+        # few distinct values, so rows repeat indices, the node itself included
+        idx = rng.integers(0, 3, size=(2, h * w, k)) * (h * w // 3)
+        adj = KnnAdjacency(h=h, w=w, k=k, neighbor_idx=idx.astype(np.int64))
+        assert_bitwise(knn_aggregate(x, adj), slot_fold(x, adj))
+
+
+def test_aggregate_propagates_nan_like_slot_fold(assert_bitwise):
+    x = rand((2, 5, 6, 7), seed=11)
+    adj = knn_graph(x, 4)
+    x.reshape(-1)[[3, 101, 250, 419]] = np.nan
+    got = knn_aggregate(x, adj)
+    assert np.any(np.isnan(got))
+    assert_bitwise(got, slot_fold(x, adj))
 
 
 def test_adjacency_validation():

@@ -10,6 +10,7 @@ from mobilevig.svga import (
     block_weights,
     build_fixed_offsets,
     ffn_forward,
+    fold_shifts,
     gather_aggregate,
     grapher_forward,
     mrconv_aggregate,
@@ -113,6 +114,53 @@ def test_aggregate_matches_gather_on_spot_checks():
         x = rand((2, 3, h, w), seed)
         graph = build_fixed_offsets(h, w, k)
         assert np.array_equal(mrconv_aggregate(x, k), gather_aggregate(x, graph))
+
+
+def shift_fold(x, k):
+    """X_j as one roll, one subtract and one max per shift of fold_shifts,
+    folded from zeros: the definition mrconv_aggregate must match bitwise."""
+    xj = np.zeros_like(x)
+    for down, right in fold_shifts(x.shape[2], x.shape[3], k):
+        xj = np.maximum(x - np.roll(x, (down, right), axis=(2, 3)), xj)
+    return xj
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_aggregate_equals_shift_fold_bitwise_on_grid(dtype, signed_zero_input, assert_bitwise):
+    # covers k >= L and 1-pixel axes; zero signs compared too
+    for h in (1, 2, 3, 4, 5, 7, 8, 9, 14, 28):
+        for w in (1, 2, 5, 7, 8, 14, 28):
+            for k in range(1, 6):
+                x = signed_zero_input((2, 3, h, w), dtype, seed=h * 100 + w * 10 + k)
+                assert_bitwise(mrconv_aggregate(x, k), shift_fold(x, k))
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1, 1), (1, 3, 5, 7), (1, 5, 9, 7), (3, 37, 9, 7),
+                                   (1, 33, 29, 27)])
+def test_aggregate_signed_zeros_in_odd_sized_arrays(shape, signed_zero_input, assert_bitwise):
+    # odd total sizes put planted zeros in the SIMD bodies and the scalar tails
+    for dtype in (np.float32, np.float64):
+        for k in (1, 2, 3):
+            x = signed_zero_input(shape, dtype, seed=sum(shape) + k)
+            got = mrconv_aggregate(x, k)
+            assert_bitwise(got, shift_fold(x, k))
+            assert not np.any(np.signbit(got))
+
+
+def test_aggregate_propagates_nan_like_shift_fold(assert_bitwise):
+    for h, w, k in ((8, 8, 2), (7, 9, 3), (28, 28, 2), (5, 1, 2)):
+        x = rand((2, 3, h, w), seed=h + w + k)
+        flat = x.reshape(-1)
+        flat[np.random.default_rng(k).choice(flat.size, size=3, replace=False)] = np.nan
+        got = mrconv_aggregate(x, k)
+        assert np.any(np.isnan(got))
+        assert_bitwise(got, shift_fold(x, k))
+
+
+def test_aggregate_accepts_non_contiguous_input(signed_zero_input, assert_bitwise):
+    x = signed_zero_input((3, 2, 9, 7), np.float32, seed=5).transpose(1, 0, 2, 3)
+    assert_bitwise(mrconv_aggregate(x, 2), shift_fold(x, 2))
+    assert_bitwise(mrconv_aggregate(x[:, :, ::2, 1:], 2), shift_fold(x[:, :, ::2, 1:], 2))
 
 
 def test_mrconv_constant_input_reduces_to_projection():
