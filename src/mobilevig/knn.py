@@ -4,10 +4,11 @@ features and gather-based max-relative aggregation through an explicit
 replaces, kept as the latency comparison target.
 
 `knn_graph` ranks pixels the way ViG does, by the Gram form
-|x|^2 - 2 x.x^T + |x|^2^T (one GEMM), but only to pick candidates: they are
-re-ranked by the exact per-channel distances of `pairwise_sq_dists`, and a
-rounding bound certifies that no other pixel can enter a row's top k. Rows
-the bound cannot certify are recomputed in full, so the neighbour lists are
+|x|^2 - 2 x.x^T + |x|^2^T (one GEMM). A rounding bound on its distance to
+the exact per-channel distances of `pairwise_sq_dists` certifies a row's top
+k when each of the row's k + 1 smallest Gram values is more than twice the
+bound above the one before, so the Gram order is the exact order. Rows the
+gaps cannot certify are recomputed in full, so the neighbour lists are
 bitwise those of a stable argsort over the full exact distance matrix.
 """
 
@@ -19,10 +20,6 @@ import numpy as np
 
 from .svga import FixedGraph, mrconv_project
 from .tensor_core import Array, ConvBn, _require
-
-# Gram-form candidates taken per row beyond the k that are kept; they give
-# the certificate a gap to work with.
-SPARE = 4
 
 _U = 2.0 ** -53  # float64 unit roundoff
 # Each underflowing product or FMA loses at most 2^-1075; the certificate
@@ -46,29 +43,26 @@ class KnnAdjacency:
         return self.h * self.w
 
 
-def pairwise_sq_dists(features: Array, rows: Array | None = None,
-                      cols: Array | None = None) -> Array:
+def pairwise_sq_dists(features: Array, rows: Array | None = None) -> Array:
     """Squared Euclidean distances between rows of (nodes, c) features.
 
-    Gives the distance from node `rows[...]` to node `cols[...]`, the two
-    index arrays broadcast against each other; `rows` defaults to every node
-    as a column and `cols` to every node as a row, so with neither it is the
-    full (nodes, nodes) matrix. Accumulated one channel at a time in
-    ascending channel order from zero, in float64, so each pair's distance
-    is a fixed, reproducible scalar op sequence whichever pairs are asked for.
-    Non-finite results raise no floating-point warnings.
+    Gives the distance from node `rows[...]` to every node, the index array
+    broadcast against the row of all nodes (so `rows[:, None]` gives one full
+    row per index); `rows` defaults to every node, the full (nodes, nodes)
+    matrix. Accumulated one channel at a time in ascending channel order
+    from zero, in float64, so each pair's distance is a fixed, reproducible
+    scalar op sequence whichever rows are asked for. Non-finite results
+    raise no floating-point warnings.
     """
     f = np.asarray(features, dtype=np.float64)
-    every = np.arange(f.shape[0])
-    rows = every[:, None] if rows is None else rows
-    cols = every[None, :] if cols is None else cols
-    d = np.zeros(np.broadcast_shapes(np.shape(rows), np.shape(cols)))
+    rows = np.arange(f.shape[0])[:, None] if rows is None else rows
+    d = np.zeros(np.broadcast_shapes(np.shape(rows), f.shape[:1]))
     diff = np.empty_like(d)
     # NaN, inf and overflowing features give NaN or inf distances, which
     # knn_graph ranks like any other value
     with np.errstate(invalid="ignore", over="ignore"):
         for col in np.ascontiguousarray(f.T):
-            np.subtract(col[rows], col[cols], out=diff)
+            np.subtract(col[rows], col, out=diff)
             diff *= diff
             d += diff
     return d
@@ -92,14 +86,18 @@ def knn_graph(x: Array, k: int) -> KnnAdjacency:
     flat pixel index, as a stable argsort of each full row would order them.
 
     Per image: the Gram form G = |f_i|^2 + |f_j|^2 - 2 f_i.f_j (one GEMM,
-    diagonal set to inf) picks m = min(k + SPARE, nodes - 1) candidates per
-    row by argpartition; their exact distances E order them by (E, index).
-    Every other node j has G_ij >= g_max, the row's largest candidate G, so
-    E_ij >= g_max - tol > E_k, the k-th exact distance, whenever the row
-    passes `g_max - tol > E_k` (rounding is monotone, so the computed
-    difference exceeding E_k implies the real one does). A row that fails,
-    and every row when the features are not all finite, is recomputed in
-    full and argsorted.
+    diagonal set to inf) gives each row's k + 1 smallest values by
+    argpartition, sorted as s_0 <= ... <= s_k; the nodes of s_0 .. s_{k-1}
+    are the row's neighbours when every gap passes fl(s_{j+1} - s_j) > 2 tol,
+    j < k, where tol bounds |G - E| against the exact distance E:
+    - rounding is monotone and 2 tol is exact, so a passing gap is a real
+      gap: E_j <= s_j + tol < s_{j+1} - tol <= E_{j+1}, and the first k are
+      in strict exact order, with no ties to break;
+    - argpartition leaves every other node at G >= s_k, so its
+      E >= s_k - tol > E_{k-1}. With k = nodes - 1, s_k is the diagonal's inf
+      and there is no other node.
+    A row that fails, and every row when the features are not all finite,
+    is recomputed in full and argsorted.
 
     tol bounds |G - E| for any BLAS summation order, with or without FMA.
     With u = 2^-53, gamma_n = n u / (1 - n u), S_i the exact |f_i|^2 and
@@ -127,8 +125,6 @@ def knn_graph(x: Array, k: int) -> KnnAdjacency:
     if not 1 <= k < num:
         raise ValueError(f"k must be in [1, {num}), got {k}")
     feats = x.transpose(0, 2, 3, 1).reshape(n, num, c)
-    m = min(k + SPARE, num - 1)
-    nodes = np.arange(num)
     idx = np.empty((n, num, k), dtype=np.int64)
     for b in range(n):
         f = np.asarray(feats[b], dtype=np.float64)
@@ -141,20 +137,17 @@ def knn_graph(x: Array, k: int) -> KnnAdjacency:
             g += sq[:, None]
             g += sq[None, :]
             np.fill_diagonal(g, np.inf)
-            cand = np.argpartition(g, m - 1, axis=1)[:, :m].copy()
-            g_max = g[nodes[:, None], cand].max(axis=1)
+            cand = np.argpartition(g, k, axis=1)[:, :k + 1]
+            s = np.take_along_axis(g, cand, axis=1)
             del g
-            cand.sort(axis=1)  # index order, so a stable sort breaks ties low
-            exact = pairwise_sq_dists(f, cols=cand)
-            order = np.argsort(exact, axis=1, kind="stable")[:, :k]
-            idx[b] = cand[nodes[:, None], order]
-            kth = exact[nodes, order[:, -1]]
-            # with every other node a candidate there is nothing to exclude
-            certified = (g_max - tol > kth) | (m == num - 1)
+            order = np.argsort(s, axis=1)
+            idx[b] = np.take_along_axis(cand, order[:, :k], axis=1)
+            s = np.take_along_axis(s, order, axis=1)
+            certified = np.all(np.diff(s, axis=1) > 2.0 * tol, axis=1)
         redo = np.flatnonzero(~certified)
         if redo.size:
             d = pairwise_sq_dists(f, rows=redo[:, None])
-            d[nodes[:redo.size], redo] = np.inf
+            d[np.arange(redo.size), redo] = np.inf
             idx[b, redo] = np.argsort(d, axis=1, kind="stable")[:, :k]
     return KnnAdjacency(h=h, w=w, k=k, neighbor_idx=idx)
 
@@ -188,18 +181,26 @@ def knn_aggregate(x: Array, adj: KnnAdjacency) -> Array:
     node, or any non-finite node when k = 0, x - m is NaN where that fold
     gives 0. The 4D -> 3D and 3D -> 4D layout changes are materialized
     copies on purpose: they are part of the cost this baseline carries.
+
+    Every index must lie in [0, h*w), or ValueError is raised: negative
+    indices are rejected, not wrapped (no producer makes them). The whole
+    index array is checked once, so the gathers skip numpy's per-call
+    bounds check (mode="clip"), which would buffer each output.
     """
     n, c, h, w = x.shape
     _require(adj.h == h and adj.w == w,
              f"adjacency is {adj.h}x{adj.w} but input is {h}x{w}")
     _require(adj.neighbor_idx.shape[0] == n,
              f"adjacency batch {adj.neighbor_idx.shape[0]} != input batch {n}")
+    idx = adj.neighbor_idx
+    _require(idx.size == 0 or (idx.min() >= 0 and idx.max() < h * w),
+             f"neighbour indices must be in [0, {h * w})")
     nodes = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).reshape(n, h * w, c)
     m = nodes  # the self term
     acc, gathered = np.empty_like(nodes), np.empty_like(nodes)
     for slot in range(adj.k):
         for b in range(n):
-            np.take(nodes[b], adj.neighbor_idx[b, :, slot], axis=0, out=gathered[b])
+            np.take(nodes[b], idx[b, :, slot], axis=0, out=gathered[b], mode="clip")
         m = np.minimum(m, gathered, out=acc)
     xj = np.subtract(nodes, m, out=acc)
     np.maximum(xj, xj.dtype.type(0), out=xj)

@@ -26,9 +26,9 @@ def rand_proj(in_c, out_c, seed=0):
                             rng.standard_normal(out_c))
 
 
-def full_sort_knn(x, k):
-    """The brute-force graph: every pair's float64 distance summed one channel
-    at a time from zero, self at inf, each full row stably argsorted."""
+def full_sort_dists(x):
+    """Every pair's float64 distance summed one channel at a time from zero,
+    self at inf, per image."""
     n, c, h, w = x.shape
     feats = x.transpose(0, 2, 3, 1).reshape(n, h * w, c).astype(np.float64)
     out = []
@@ -39,8 +39,14 @@ def full_sort_knn(x, k):
                 diff = f[:, ch, None] - f[None, :, ch]
                 d += diff * diff
         np.fill_diagonal(d, np.inf)
-        out.append(np.argsort(d, axis=1, kind="stable")[:, :k])
+        out.append(d)
     return np.stack(out)
+
+
+def full_sort_knn(x, k):
+    """The brute-force graph: each full row of full_sort_dists stably
+    argsorted."""
+    return np.argsort(full_sort_dists(x), axis=2, kind="stable")[:, :, :k]
 
 
 def assert_same_graph(x, k):
@@ -103,10 +109,10 @@ def test_distances_for_index_pairs_equal_full_matrix_entries():
     feats = rand((30, 40), seed=6)
     full = pairwise_sq_dists(feats)
     rows = np.array([[3], [0], [29]])
-    cols = np.random.default_rng(7).integers(0, 30, size=(30, 5))
-    assert np.array_equal(pairwise_sq_dists(feats, rows, cols[:3]), full[rows, cols[:3]])
-    assert np.array_equal(pairwise_sq_dists(feats, cols=cols), full[np.arange(30)[:, None], cols])
     assert np.array_equal(pairwise_sq_dists(feats, rows=rows), full[rows[:, 0]])
+    # unordered and repeated rows, as the fallback could ask for them
+    many = np.random.default_rng(7).integers(0, 30, size=(40, 1))
+    assert np.array_equal(pairwise_sq_dists(feats, rows=many), full[many[:, 0]])
 
 
 @pytest.mark.parametrize("shape,k", [
@@ -163,18 +169,58 @@ def test_fast_graph_matches_full_sort_at_rounding_near_ties():
             assert_same_graph(x, k)
 
 
-def test_constant_features_fall_back_on_every_row(monkeypatch):
+@pytest.fixture
+def fallback_rows(monkeypatch):
+    """The rows knn_graph recomputes in full, as pairwise_sq_dists sees them."""
     asked = []
 
-    def spy(features, rows=None, cols=None):
+    def spy(features, rows=None):
         if rows is not None:
             asked.extend(np.ravel(rows).tolist())
-        return pairwise_sq_dists(features, rows, cols)
+        return pairwise_sq_dists(features, rows)
 
     monkeypatch.setattr(knn, "pairwise_sq_dists", spy)
+    return asked
+
+
+def test_constant_features_fall_back_on_every_row(fallback_rows):
     x = np.full((1, 4, 5, 5), 3.0, np.float32)
     assert_same_graph(x, 6)
-    assert sorted(asked) == list(range(25))
+    assert sorted(fallback_rows) == list(range(25))
+
+
+def test_random_features_certify_every_row(fallback_rows):
+    knn_graph(rand((1, 256, 28, 28), seed=14), 9)
+    assert fallback_rows == []
+
+
+def test_planted_duplicates_fall_back_on_tied_rows_only(fallback_rows):
+    # two pairs of nodes share features, so a row whose k + 1 nearest hold
+    # both nodes of a pair has an exact tie the Gram gaps cannot order
+    c, h, w, k = 16, 8, 8, 9
+    x = rand((1, c, h, w), seed=15)
+    flat = x.reshape(c, h * w)
+    flat[:, 40] = flat[:, 3]
+    flat[:, 11] = flat[:, 10]
+    d = full_sort_dists(x)[0]
+    nearest = np.sort(d, axis=1)[:, :k + 1]
+    tied = np.flatnonzero(np.any(np.diff(nearest, axis=1) == 0, axis=1))
+    assert 0 < tied.size < h * w
+    assert_same_graph(x, k)
+    assert sorted(fallback_rows) == tied.tolist()
+
+
+def test_gram_rounding_reorders_near_ties(fallback_rows):
+    # tiny spreads about a large common offset: distances differ by about
+    # the Gram form's rounding error, which would reorder some rows if any
+    # positive gap were taken as proof
+    c, h, w = 8, 4, 5
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        base = 1000 * rng.standard_normal(c)
+        x = (base[:, None] + 1e-4 * rng.standard_normal((c, h * w))).reshape(1, c, h, w)
+        assert_same_graph(x, 3)
+    assert fallback_rows
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -267,6 +313,16 @@ def test_adjacency_validation():
     x = rand((1, 2, 4, 4))
     adj = KnnAdjacency(h=5, w=4, k=1, neighbor_idx=np.zeros((1, 20, 1), np.int64))
     with pytest.raises(ValueError):
+        knn_aggregate(x, adj)
+
+
+@pytest.mark.parametrize("bad", [16, 1000, -1, -16])
+def test_aggregate_rejects_out_of_range_indices(bad):
+    x = rand((2, 3, 4, 4))
+    idx = np.zeros((2, 16, 2), np.int64)
+    idx[1, 5, 1] = bad
+    adj = KnnAdjacency(h=4, w=4, k=2, neighbor_idx=idx)
+    with pytest.raises(ValueError, match=r"neighbour indices must be in \[0, 16\)"):
         knn_aggregate(x, adj)
 
 
