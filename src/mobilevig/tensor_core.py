@@ -8,12 +8,14 @@ on the element's position or on how many other elements are in the call:
 elementwise ops are exactly rounded per element, and a dense convolution is
 one GEMM per fixed-width chunk of output pixels of one image, the last chunk
 zero-padded to the full width, so every BLAS call of a layer has the same
-shape whatever the image size or batch. As a consequence results are bitwise
-reproducible and invariant under pixel permutation or batch repacking, which
-the graph-equivalence and equivariance checks in this package rely on. The
-chunked GEMM's invariance is a property of the BLAS build (each output column
-is reduced in the same order wherever it sits in a chunk), not a guarantee of
-the BLAS interface; the tests check it bitwise.
+shape whatever the image size or batch. The full chunks of all images go to
+BLAS in one batched matmul and the padded last chunks in one more. As a
+consequence results are bitwise reproducible and invariant under pixel
+permutation or batch repacking, which the graph-equivalence and equivariance
+checks in this package rely on. The chunked GEMM's invariance is a property
+of the BLAS build (each output column is reduced in the same order wherever
+it sits in a chunk), not a guarantee of the BLAS interface; the tests check
+it bitwise.
 
 A depthwise convolution copies the input, a block of channels at a time,
 into a zero-bordered buffer, each channel's map flat with kw - 1 zeros of
@@ -24,7 +26,16 @@ reads, and ufunc loops run over a whole map rather than one output row.
 Larger strides take strided views of the same buffer. A block holds about
 _DW_BLOCK scratch elements, so the tap products stay in L2; each element
 sees acc = tap * w, then acc = acc + tap * w per tap in row-major order,
-then + bias, whatever block it falls in.
+then + bias, whatever block it falls in. The kernel runs with numpy's ufunc
+buffer set to _DW_BUFSIZE elements, restored on exit: with the default
+buffer numpy copies each tap's per-channel weight broadcast through it
+whenever a map is shorter than the buffer.
+
+Float32 GeLU is x * Phi(x) with Phi a clamped rational function,
+Phi(x) = 0.5 + xc * P(xc^2) / Q(xc^2), P monic of degree 6 and Q of degree
+3, evaluated in 24 in-place ufunc passes per block. The clamp is a float32
+near 4 sqrt 2 at which Phi comes out exactly 0 and 1, so gelu(x) = x above
+it and -0.0 below its negative.
 
 `conv_bn` folds inference batch norm into the conv weights and bias on every
 call, so a conv and its batch norm cost one pass over the output.
@@ -33,6 +44,7 @@ call, so a conv and its batch norm cost one pass over the output.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from scipy.special import erf
@@ -50,6 +62,14 @@ _CHUNK = 64
 # tap products stay in L2; fixed, and no element's op sequence depends on it
 _DW_BLOCK = 65536
 
+# depthwise conv: numpy's ufunc buffer size, in elements, while the kernel
+# runs. A tap times its per-channel weight is a broadcast over rows of
+# oh * wp elements, and numpy copies rows shorter than its buffer (8192 by
+# default) through the buffer, which about halved the speed of 28x28 maps;
+# one size for all maps, the best of a sweep at 14x14, 28x28 and 56x56.
+# Results do not depend on it
+_DW_BUFSIZE = 512
+
 
 def _f32(v: float) -> Array:
     # a read-only 0-d float32 array: as a ufunc operand it has less per-call
@@ -59,21 +79,31 @@ def _f32(v: float) -> Array:
     return a
 
 
-# float32 GeLU: elements per block, and the erf approximation's constants
-# (numerator and denominator coefficients in z^2, highest degree first)
+# float32 GeLU: elements per block; the clamp, a float32 at which the op
+# sequence of _gelu_float32 gives Phi exactly 0 and 1; and the rational
+# Phi(x) = 0.5 + x * P(x^2) / Q(x^2) on the clamped range, coefficients
+# highest degree first, P monic with its leading 1 left out. Fitted as a
+# float64 minimax of the GeLU error by tools/fit_gelu.py.
 _GELU_BLOCK = 65536
-_INV_SQRT2_F32 = _f32(_INV_SQRT2)
-_ONE_F32 = _f32(1.0)
+_GELU_CLAMP = 5.656853675842285
+_GELU_P = tuple(_f32(v) for v in (
+    -149.2367706298828, 8461.76171875, 96771.03125, 45655096.0,
+    276220768.0, 5041446912.0))
+_GELU_Q = tuple(_f32(v) for v in (
+    12356146.0, 264278624.0, 2799209472.0, 12636824576.0))
 _HALF_F32 = _f32(0.5)
-_ERF_LO = _f32(-4.0)
-_ERF_HI = _f32(4.0)
-_ERF_P = tuple(_f32(v) for v in (
-    -2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06,
-    -5.69250639462346e-05, -7.34990630326855e-04, -2.95459980854025e-03,
-    -1.60960333262415e-02))
-_ERF_Q = tuple(_f32(v) for v in (
-    -1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
-    -7.37332916720468e-03, -1.42647390514189e-02))
+
+
+@cache
+def _gelu_bounds() -> tuple[Array, Array]:
+    # the clamp as two read-only block-sized arrays, made on first use: with
+    # an array operand np.maximum and np.minimum run about twice as fast as
+    # with a 0-d one
+    bounds = tuple(np.full(_GELU_BLOCK, v, dtype=np.float32)
+                   for v in (-_GELU_CLAMP, _GELU_CLAMP))
+    for b in bounds:
+        b.flags.writeable = False
+    return bounds
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -130,25 +160,27 @@ def roll_2d(x: Array, down: int, right: int) -> Array:
 
 
 def _gemm_chunked(wmat: Array, cols: Array, out: Array) -> None:
-    # out(oc, P) = wmat(oc, K) @ cols(K, P) as one GEMM per _CHUNK columns:
-    # the full chunks in one batched matmul over strided views, the last
-    # partial chunk zero-padded to the full width
-    k, p = cols.shape
-    if wmat.shape[0] == 1:
+    # out(n, oc, P) = wmat(oc, K) @ cols(n, K, P) as one GEMM per _CHUNK
+    # columns of one image: the full chunks of all images in one batched
+    # matmul over strided views, with batch axes (image, chunk), and the last
+    # partial chunk of every image zero-padded to the full width in one more
+    n, k, p = cols.shape
+    oc = wmat.shape[0]
+    if oc == 1:
         # elementwise, in the same order for every pixel
-        acc = cols[0] * wmat[0, 0]
+        acc = cols[:, 0] * wmat[0, 0]
         for i in range(1, k):
-            acc = acc + cols[i] * wmat[0, i]
-        out[0] = acc
+            acc = acc + cols[:, i] * wmat[0, i]
+        out[:, 0] = acc
         return
     full = p - p % _CHUNK
     if full:
-        np.matmul(wmat, cols[:, :full].reshape(k, -1, _CHUNK).transpose(1, 0, 2),
-                  out=out[:, :full].reshape(out.shape[0], -1, _CHUNK).transpose(1, 0, 2))
+        np.matmul(wmat, cols[:, :, :full].reshape(n, k, -1, _CHUNK).transpose(0, 2, 1, 3),
+                  out=out[:, :, :full].reshape(n, oc, -1, _CHUNK).transpose(0, 2, 1, 3))
     if full < p:
-        pad = np.zeros((k, _CHUNK), dtype=cols.dtype)
-        pad[:, :p - full] = cols[:, full:]
-        out[:, full:] = (wmat @ pad)[:, :p - full]
+        pad = np.zeros((n, k, _CHUNK), dtype=cols.dtype)
+        pad[:, :, :p - full] = cols[:, :, full:]
+        out[:, :, full:] = (wmat @ pad)[:, :, :p - full]
 
 
 def _conv_dense(xp: Array, weight: Array, bias: Array, stride: int,
@@ -158,16 +190,17 @@ def _conv_dense(xp: Array, weight: Array, bias: Array, stride: int,
     p = oh * ow
     wmat = weight.reshape(oc, -1)  # reduction axis: channel-major, then kernel row-major
     out = np.empty((n, oc, oh, ow), dtype=xp.dtype)
-    # a 1x1 stride-1 conv reads each image as is; others through an im2col buffer
-    cols = None if kh == kw == stride == 1 else np.empty((c, kh, kw, oh, ow), dtype=xp.dtype)
-    for i in range(n):
-        if cols is not None:
-            for ky in range(kh):
-                for kx in range(kw):
-                    cols[:, ky, kx] = xp[i, :, ky:ky + (oh - 1) * stride + 1:stride,
-                                         kx:kx + (ow - 1) * stride + 1:stride]
-        x_cols = xp[i].reshape(c, p) if cols is None else cols.reshape(-1, p)
-        _gemm_chunked(wmat, x_cols, out[i].reshape(oc, p))
+    # a 1x1 stride-1 conv reads the input as is; others its im2col unfold
+    if kh == kw == stride == 1:
+        cols = xp.reshape(n, c, p)
+    else:
+        cols = np.empty((n, c, kh, kw, oh, ow), dtype=xp.dtype)
+        for ky in range(kh):
+            for kx in range(kw):
+                cols[:, :, ky, kx] = xp[:, :, ky:ky + (oh - 1) * stride + 1:stride,
+                                        kx:kx + (ow - 1) * stride + 1:stride]
+        cols = cols.reshape(n, -1, p)
+    _gemm_chunked(wmat, cols, out.reshape(n, oc, p))
     out += bias.reshape(1, oc, 1, 1)
     return out
 
@@ -199,29 +232,33 @@ def _conv_depthwise(x: Array, weight: Array, bias: Array, stride: int,
     acc = np.empty((cb, oh, wide), dtype=x.dtype)
     term = np.empty_like(acc)
     out = np.empty((n, c, oh, ow), dtype=x.dtype)
-    for i in range(n):
-        for c0 in range(0, c, cb):
-            m = min(cb, c - c0)
-            maps[:m, padding:padding + h, padding:padding + w] = x[i, c0:c0 + m]
-            a, t = acc[:m], term[:m]
-            # the op sequence per element is acc = tap * w, then
-            # acc = acc + tap * w per tap in row-major order, then + bias
-            for ky in range(kh):
-                for kx in range(kw):
-                    if stride == 1:
-                        start = ky * wp + kx
-                        tap = buf[:m, start:start + oh * wp].reshape(m, oh, wp)
-                    else:
-                        tap = maps[:m, ky:ky + (oh - 1) * stride + 1:stride,
-                                   kx:kx + (ow - 1) * stride + 1:stride]
-                    wk = weight[c0:c0 + m, 0, ky, kx, None, None]
-                    if ky == kx == 0:
-                        np.multiply(tap, wk, out=a)
-                    else:
-                        np.multiply(tap, wk, out=t)
-                        a += t
-            np.add(a[:, :, :ow], bias[c0:c0 + m, None, None],
-                   out=out[i, c0:c0 + m])
+    saved = np.setbufsize(_DW_BUFSIZE)
+    try:
+        for i in range(n):
+            for c0 in range(0, c, cb):
+                m = min(cb, c - c0)
+                maps[:m, padding:padding + h, padding:padding + w] = x[i, c0:c0 + m]
+                a, t = acc[:m], term[:m]
+                # the op sequence per element is acc = tap * w, then
+                # acc = acc + tap * w per tap in row-major order, then + bias
+                for ky in range(kh):
+                    for kx in range(kw):
+                        if stride == 1:
+                            start = ky * wp + kx
+                            tap = buf[:m, start:start + oh * wp].reshape(m, oh, wp)
+                        else:
+                            tap = maps[:m, ky:ky + (oh - 1) * stride + 1:stride,
+                                       kx:kx + (ow - 1) * stride + 1:stride]
+                        wk = weight[c0:c0 + m, 0, ky, kx, None, None]
+                        if ky == kx == 0:
+                            np.multiply(tap, wk, out=a)
+                        else:
+                            np.multiply(tap, wk, out=t)
+                            a += t
+                np.add(a[:, :, :ow], bias[c0:c0 + m, None, None],
+                       out=out[i, c0:c0 + m])
+    finally:
+        np.setbufsize(saved)
     return out
 
 
@@ -270,55 +307,67 @@ def batchnorm_infer(x: Array, gamma: Array, beta: Array, mean: Array,
 
 
 def _gelu_float32(x: Array) -> Array:
-    # erf(z) for z clamped to [-4, 4] (erf(+-4) rounds to +-1 in float32) as
-    # z * P(z^2) / Q(z^2), degree 13 over degree 8 in z: the clamped
-    # rational approximation of Eigen's generic_fast_erf_float. It runs over
-    # fixed-size blocks through three scratch buffers with in-place ufuncs;
-    # each element sees the same exactly rounded float32 op sequence whatever
-    # its position or the array size, so results are repacking invariant.
+    # x * Phi(x), with Phi(x) = 0.5 + xc * P(t) / Q(t), xc = x clamped to
+    # [-_GELU_CLAMP, _GELU_CLAMP] and t = xc^2, in 24 ufunc passes per block.
+    # x is clamped from below first and that value is the final factor: it
+    # equals x except below the clamp, where Phi is exactly 0 and the product
+    # is -0.0 either way, -inf included. The kernel runs over fixed-size
+    # blocks through three scratch buffers and the output, with in-place
+    # ufuncs; each element sees the same exactly rounded float32 op sequence
+    # whatever its position or the array size, so results are repacking
+    # invariant.
     flat = x.reshape(-1)
     out = np.empty(x.shape, dtype=np.float32)
     out_flat = out.reshape(-1)
+    lo, hi = _gelu_bounds()
     n = min(flat.size, _GELU_BLOCK)
-    z_buf = np.empty(n, dtype=np.float32)
-    z2_buf = np.empty(n, dtype=np.float32)
+    xc_buf = np.empty(n, dtype=np.float32)
+    t_buf = np.empty(n, dtype=np.float32)
     p_buf = np.empty(n, dtype=np.float32)
     for start in range(0, flat.size, _GELU_BLOCK):
         xb = flat[start:start + _GELU_BLOCK]
         m = xb.size
-        z, z2, p = z_buf[:m], z2_buf[:m], p_buf[:m]
-        np.multiply(xb, _INV_SQRT2_F32, out=z)
-        np.maximum(z, _ERF_LO, out=z)
-        np.minimum(z, _ERF_HI, out=z)
-        np.multiply(z, z, out=z2)
-        np.multiply(z2, _ERF_P[0], out=p)  # Horner in z^2
-        p += _ERF_P[1]
-        for a in _ERF_P[2:]:
-            p *= z2
+        xl = out_flat[start:start + m]
+        xc, t, p = xc_buf[:m], t_buf[:m], p_buf[:m]
+        np.maximum(xb, lo[:m], out=xl)
+        np.minimum(xl, hi[:m], out=xc)
+        np.multiply(xc, xc, out=t)
+        np.add(t, _GELU_P[0], out=p)  # Horner in t; P is monic
+        for a in _GELU_P[1:]:
+            p *= t
             p += a
-        p *= z
-        q = z  # z is no longer needed; its buffer takes the denominator
-        np.multiply(z2, _ERF_Q[0], out=q)
-        q += _ERF_Q[1]
-        for b in _ERF_Q[2:]:
-            q *= z2
+        p *= xc
+        q = xc  # xc is no longer needed; its buffer takes the denominator
+        np.multiply(t, _GELU_Q[0], out=q)
+        q += _GELU_Q[1]
+        for b in _GELU_Q[2:]:
+            q *= t
             q += b
         p /= q
-        p += _ONE_F32
-        p *= _HALF_F32
-        np.multiply(xb, p, out=out_flat[start:start + m])
+        p += _HALF_F32
+        xl *= p
     return out
 
 
 def gelu(x: Array) -> Array:
     """GeLU, x * Phi(x), with Phi the standard normal CDF (erf form).
 
-    float32: erf from a clamped rational approximation (absolute GeLU error
-    at most 2e-6 against float64); other dtypes: exact erf.
+    float32: Phi from a clamped rational approximation (absolute GeLU error
+    at most 2e-6 against float64), exactly 0 and 1 beyond the clamp, so
+    gelu(x) is x there and -0.0 below -clamp; other dtypes: exact erf. In
+    every dtype gelu(+inf) = +inf, gelu(-inf) = -0.0 and gelu(nan) = nan,
+    with no floating-point warning.
     """
     if getattr(x, "dtype", None) == np.float32:
         return _gelu_float32(np.asarray(x))
-    return x * (0.5 * (1.0 + erf(x * _INV_SQRT2)))
+    phi = erf(x * _INV_SQRT2)
+    phi += 1.0
+    phi *= 0.5
+    # a finite stand-in for -inf, where Phi is exactly 0: the product is then
+    # -0.0, where -inf * 0 would be nan with an invalid-value warning
+    out = np.maximum(x, np.finfo(phi.dtype).min)
+    out *= phi
+    return out
 
 
 def gelu_grad(x: Array) -> Array:

@@ -201,16 +201,21 @@ def run_knn_suite(seed: int = 0, seeds: int = KNN_SEEDS) -> PropertyResult:
 
 
 def _knn_cost_ratio(seed: int) -> float:
+    # median 14x14 time over median 7x7 time; the two sizes alternate, so a
+    # burst of host load slows samples of both rather than all of one
     rng = np.random.default_rng([seed, 14])
     c = 16
     small = rng.standard_normal((1, c, 7, 7)).astype(np.float32)
     big = rng.standard_normal((1, c, 14, 14)).astype(np.float32)
-    medians = []
-    for x in (small, big):
-        step = partial(knn_graph, x, 9)
+    steps = [partial(knn_graph, x, 9) for x in (small, big)]
+    for step in steps:
         step()  # warm-up
-        medians.append(percentiles_ns([time_once_ns(step) for _ in range(15)])[0])
-    return medians[1] / medians[0]
+    samples = ([], [])
+    for _ in range(15):
+        for step, times in zip(steps, samples):
+            times.append(time_once_ns(step))
+    small_ns, big_ns = (percentiles_ns(times)[0] for times in samples)
+    return big_ns / small_ns
 
 
 SUITES = {

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mobilevig import knn
+from mobilevig import knn, verify
 from mobilevig.knn import (
     KnnAdjacency,
     adjacency_from_fixed_graph,
@@ -328,3 +328,16 @@ def test_aggregate_rejects_out_of_range_indices(bad):
 
 def test_graph_construction_cost_grows_superlinearly():
     assert _knn_cost_ratio(seed=0) > 3.0
+
+
+def test_cost_ratio_alternates_graph_sizes(monkeypatch):
+    # the ratio's two samples interleave, so that host load lands on both
+    shapes = []
+
+    def spy(x, k):
+        shapes.append(x.shape[2:])
+        return knn_graph(x, k)
+
+    monkeypatch.setattr(verify, "knn_graph", spy)
+    assert _knn_cost_ratio(seed=0) > 0
+    assert shapes == [(7, 7), (14, 14)] * 16

@@ -200,13 +200,15 @@ def test_invariance_grids_straddle_the_chunk_width():
 @pytest.mark.parametrize("spec", _INVARIANCE_SPECS, ids=["1x1", "3x3s2p1"])
 @pytest.mark.parametrize("h,w", _INVARIANCE_GRIDS)
 def test_dense_conv_bitwise_under_sub_batching(h, w, spec, dtype):
+    # a batch of five runs its images' chunks, and their tails, in shared
+    # batched GEMMs: each image alone and a 2 + 3 split give the same bits
     rng = np.random.default_rng([h, w, spec.kernel[0]])
-    x = rng.standard_normal((2, spec.in_channels, h, w)).astype(dtype)
+    x = rng.standard_normal((5, spec.in_channels, h, w)).astype(dtype)
     wgt = rng.standard_normal(spec.weight_shape()).astype(dtype)
     b = rng.standard_normal(spec.out_channels).astype(dtype)
-    both = conv2d(x, spec, wgt, b)
-    for i in range(2):
-        assert np.array_equal(conv2d(x[i:i + 1], spec, wgt, b), both[i:i + 1])
+    whole = conv2d(x, spec, wgt, b)
+    for lo, hi in [(i, i + 1) for i in range(5)] + [(0, 2), (2, 5)]:
+        assert np.array_equal(conv2d(x[lo:hi], spec, wgt, b), whole[lo:hi])
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -422,15 +424,36 @@ def test_gelu_float32_dense_sweep_error_bound():
 
 def test_gelu_float32_bitwise_under_repacking():
     # spans three block boundaries of the blocked float32 kernel
-    n = 3 * 65536 + 17
-    x = (rand((n,), seed=24) * 4.0).reshape(5, 25, 11, 143)
+    block = tensor_core._GELU_BLOCK
+    m = 3 * block // 5 + 4  # per item: the five hold 16 to 20 more than 3 * block
+    x = (rand((5 * m,), seed=24) * 4.0).reshape(5, 1, 1, m)
     whole = gelu(x)
     flat = x.reshape(-1)
-    cuts = [0, 1, 65531, 65541, 131072, 131073, 196600, n]
+    n = flat.size
+    cuts = [0, 1, block - 5, block + 5, 2 * block, 2 * block + 1, 3 * block - 8, n]
     pieces = np.concatenate([gelu(flat[a:b]) for a, b in zip(cuts, cuts[1:])])
     assert np.array_equal(pieces, whole.reshape(-1))
     per_item = np.concatenate([gelu(x[i:i + 1]) for i in range(x.shape[0])])
     assert np.array_equal(per_item, whole)
+
+
+def test_gelu_float32_saturates_exactly_beyond_the_clamp(assert_bitwise):
+    # Phi is exactly 1 from the clamp up and exactly 0 from its negative down
+    clamp = np.float32(tensor_core._GELU_CLAMP)
+    assert float(clamp) == tensor_core._GELU_CLAMP
+    big = np.array([clamp, np.nextafter(clamp, np.float32(np.inf)), 10.0, 1e30,
+                    np.finfo(np.float32).max], np.float32)
+    assert_bitwise(gelu(big), big)
+    assert_bitwise(gelu(-big), np.full(big.shape, -0.0, np.float32))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_non_finite_inputs_give_limits_quietly(dtype, assert_bitwise):
+    x = np.array([np.inf, -np.inf, np.nan, 1.5, -2.0], dtype)
+    with np.errstate(all="raise"):
+        got = gelu(x)
+    assert_bitwise(got[:3], np.array([np.inf, -0.0, np.nan], dtype))
+    assert_bitwise(got[3:], gelu(x[3:]))
 
 
 # ------------------------------------------- in-place kernels vs allocating
@@ -522,6 +545,21 @@ def test_depthwise_bitwise_under_sub_batching_and_crops(dtype):
     valid = ConvSpec(spec.in_channels, spec.out_channels, (3, 3), groups=spec.groups)
     crop = x[:, :, 5:30, 3:24]
     assert np.array_equal(conv2d(crop, valid, wgt, b), whole[:, :, 6:29, 4:23])
+
+
+def test_depthwise_restores_the_callers_ufunc_buffer_size():
+    spec, x, wgt, b = _depthwise_case(_DW_SHAPES[1], 1, 1, np.float32)
+    oh, ow = spec.out_size(*x.shape[2:])
+    saved = np.setbufsize(4096)
+    try:
+        conv2d(x, spec, wgt, b)
+        assert np.getbufsize() == 4096
+        # a bias one channel short fails inside the kernel's loop
+        with pytest.raises(ValueError):
+            tensor_core._conv_depthwise(x, wgt, b[:-1], 1, 1, oh, ow)
+        assert np.getbufsize() == 4096
+    finally:
+        np.setbufsize(saved)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
