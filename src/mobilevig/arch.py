@@ -8,7 +8,7 @@ depths, widths and the SVGA connection stride live in VariantConfig.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
@@ -68,14 +68,14 @@ class MbconvWeights:
 
 @dataclass
 class ModelWeights:
+    """One block per layer_plan entry, in plan order: the stem's ConvBn
+    list, an MbconvWeights, a downsample's or head.conv's ConvBn, or an
+    SvgaBlockWeights. The classifier follows the plan."""
+
     variant: str
-    stem: list[ConvBn]
-    stages: list[list[MbconvWeights]]
-    downsamples: list[ConvBn]
-    svga_blocks: list[SvgaBlockWeights]
-    head_conv: ConvBn
-    head_weight: Array = field(default=None)
-    head_bias: Array = field(default=None)
+    blocks: list[list[ConvBn] | MbconvWeights | ConvBn | SvgaBlockWeights]
+    head_weight: Array
+    head_bias: Array
 
 
 def _trunc_normal(rng: np.random.Generator, shape: tuple[int, ...],
@@ -153,27 +153,20 @@ def build_model(cfg: VariantConfig, seed: int = 0, *, skeleton: bool = False) ->
         draw = partial(np.zeros, dtype=np.float32)
     else:
         draw = partial(_trunc_normal, np.random.default_rng(seed))
-    stem, stages, downsamples, svga_blocks = [], [[], [], []], [], []
+    blocks = []
     for layer in layer_plan(cfg):
         p = [_init_conv_bn(draw, spec) for _, spec in layer.convs]
         if layer.kind == "stem":
-            stem = p
+            blocks.append(p)
         elif layer.kind == "mbconv":
-            # stage i's blocks come after i downsamples
-            stages[len(downsamples)].append(MbconvWeights(*p))
-        elif layer.kind == "downsample":
-            downsamples.append(p[0])
+            blocks.append(MbconvWeights(*p))
         elif layer.kind == "svga":
-            svga_blocks.append(block_weights(p, cfg.k))
-        else:
-            head_conv = p[0]
+            blocks.append(block_weights(p, cfg.k))
+        else:  # downsample, head
+            blocks.append(p[0])
     head_weight = draw((cfg.num_classes, cfg.head_hidden))
     head_bias = np.zeros(cfg.num_classes, dtype=np.float32)
-    return ModelWeights(
-        variant=cfg.name, stem=stem, stages=stages, downsamples=downsamples,
-        svga_blocks=svga_blocks, head_conv=head_conv,
-        head_weight=head_weight, head_bias=head_bias,
-    )
+    return ModelWeights(cfg.name, blocks, head_weight, head_bias)
 
 
 def mbconv_forward(x: Array, w: MbconvWeights) -> Array:
@@ -198,22 +191,31 @@ def downsample_forward(x: Array, w: ConvBn) -> Array:
 
 def model_forward_with_stages(x: Array, weights: ModelWeights,
                               cfg: VariantConfig) -> tuple[Array, list[Array]]:
-    """Returns (logits, per-stage feature maps)."""
+    """Returns (logits, per-stage feature maps): the activations that enter
+    each downsample and the head."""
+    _require(weights.variant == cfg.name,
+             f"weights are for variant {weights.variant!r}, config is {cfg.name!r}")
     _require(x.ndim == 4 and x.shape[1] == 3,
              f"input must be (n, 3, h, w), got {x.shape}")
     _require(x.shape[2] % 32 == 0 and x.shape[3] % 32 == 0,
              f"input dims must be divisible by 32, got {x.shape[2]}x{x.shape[3]}")
-    t = stem_forward(x, weights.stem)
+    t = x
     stage_outputs = []
-    for i in range(3):
-        for block in weights.stages[i]:
+    # blocks are looked up as module globals at call time, so a patched
+    # name (the benchmark's tracer wraps them) is the one that runs
+    for layer, block in zip(layer_plan(cfg), weights.blocks, strict=True):
+        if layer.kind in ("downsample", "head"):
+            stage_outputs.append(t)
+        if layer.kind == "stem":
+            t = stem_forward(t, block)
+        elif layer.kind == "mbconv":
             t = mbconv_forward(t, block)
-        stage_outputs.append(t)
-        t = downsample_forward(t, weights.downsamples[i])
-    for block in weights.svga_blocks:
-        t = svga_block_forward(t, block)
-    stage_outputs.append(t)
-    t = gelu(conv_bn(t, weights.head_conv))
+        elif layer.kind == "downsample":
+            t = downsample_forward(t, block)
+        elif layer.kind == "svga":
+            t = svga_block_forward(t, block)
+        else:
+            t = gelu(conv_bn(t, block))
     pooled = global_avg_pool(t)
     logits = linear(pooled, weights.head_weight, weights.head_bias)
     return logits, stage_outputs
@@ -232,16 +234,6 @@ def _conv_bn_entries(prefix: str, p: ConvBn):
     yield prefix + ".bn.var", p.var
 
 
-def _layer_weights(w: ModelWeights):
-    """The block weights of each layer_plan entry, in plan order."""
-    yield w.stem
-    for blocks, down in zip(w.stages, w.downsamples):
-        yield from blocks
-        yield down
-    yield from w.svga_blocks
-    yield w.head_conv
-
-
 def _conv_at(block, path: str) -> ConvBn:
     # path parts are attribute names, or list indices for the stem's convs
     for part in filter(None, path.split(".")):
@@ -252,7 +244,7 @@ def _conv_at(block, path: str) -> ConvBn:
 def named_params(w: ModelWeights):
     """All parameter arrays with unique names, in deterministic order."""
     plan = layer_plan(get_variant(w.variant))
-    for layer, block in zip(plan, _layer_weights(w), strict=True):
+    for layer, block in zip(plan, w.blocks, strict=True):
         for path, _ in layer.convs:
             prefix = f"{layer.name}.{path}" if path else layer.name
             yield from _conv_bn_entries(prefix, _conv_at(block, path))

@@ -91,8 +91,6 @@ def _cmd_describe(args) -> int:
 
     cfg = get_variant(args.variant)
     size = args.size
-    if size % 32:
-        raise ValueError(f"input size must be divisible by 32, got {size}")
     params = count_params(build_model(cfg, skeleton=True))
     macs = count_macs(cfg, size, size)
     # each stage runs at the size the stem or the downsample before it gives

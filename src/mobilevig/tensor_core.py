@@ -371,9 +371,13 @@ def gelu(x: Array) -> Array:
 
 
 def gelu_grad(x: Array) -> Array:
-    """Derivative of exact GeLU: Phi(x) + x * phi(x)."""
-    phi = np.exp(-0.5 * x * x) * _INV_SQRT2PI
-    return 0.5 * (1.0 + erf(x * _INV_SQRT2)) + x * phi
+    """Derivative of exact GeLU: Phi(x) + x * phi(x). It is 0 at -inf and 1
+    at +inf, with no floating-point warning; nan stays nan."""
+    # phi(40) underflows to 0 even in float64, so x * phi is the same ±0 with
+    # x clamped there, and x * x cannot overflow nor inf * 0 give nan
+    xc = np.clip(x, -40.0, 40.0)
+    phi = np.exp(-0.5 * xc * xc) * _INV_SQRT2PI
+    return 0.5 * (1.0 + erf(x * _INV_SQRT2)) + xc * phi
 
 
 def concat_channels(a: Array, b: Array) -> Array:

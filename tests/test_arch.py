@@ -14,6 +14,7 @@ from mobilevig.arch import (
     count_params,
     downsample_forward,
     get_variant,
+    layer_plan,
     layer_shapes,
     mbconv_forward,
     model_forward,
@@ -31,6 +32,12 @@ REFERENCE_GMACS = {"Ti": 0.7e9, "S": 1.0e9, "M": 1.5e9, "B": 2.8e9}
 
 def rand(shape, seed=0):
     return np.random.default_rng(seed).standard_normal(shape).astype(np.float32)
+
+
+def block_named(w, name):
+    """The block weights of the layer_plan entry called name."""
+    names = [layer.name for layer in layer_plan(get_variant(w.variant))]
+    return w.blocks[names.index(name)]
 
 
 # Independent bookkeeping of the layer plan, kept apart from arch internals.
@@ -147,7 +154,7 @@ def test_mbconv_zero_weights_is_identity():
 def test_mbconv_preserves_shape():
     w = build_model(VARIANTS["Ti"], 0)
     x = rand((2, 42, 8, 8), seed=2)
-    assert mbconv_forward(x, w.stages[0][0]).shape == x.shape
+    assert mbconv_forward(x, block_named(w, "stage1.0")).shape == x.shape
 
 
 def test_mbconv_single_pixel_scalar_chain():
@@ -173,12 +180,12 @@ def test_mbconv_single_pixel_scalar_chain():
 
 def test_stem_resolutions_and_channels():
     w = build_model(VARIANTS["Ti"], 0)
-    out = stem_forward(rand((1, 3, 224, 224), seed=3), w.stem)
+    out = stem_forward(rand((1, 3, 224, 224), seed=3), block_named(w, "stem"))
     assert out.shape == (1, 42, 56, 56)
-    out = stem_forward(rand((1, 3, 32, 32), seed=4), w.stem)
+    out = stem_forward(rand((1, 3, 32, 32), seed=4), block_named(w, "stem"))
     assert out.shape == (1, 42, 8, 8)
     with pytest.raises(ValueError):
-        stem_forward(rand((1, 3, 30, 30)), w.stem)
+        stem_forward(rand((1, 3, 30, 30)), block_named(w, "stem"))
 
 
 def test_stem_width_is_42_for_every_variant():
@@ -188,12 +195,12 @@ def test_stem_width_is_42_for_every_variant():
 
 def test_downsample_halving():
     w = build_model(VARIANTS["Ti"], 0)
-    assert downsample_forward(rand((1, 42, 56, 56), 5), w.downsamples[0]).shape \
+    assert downsample_forward(rand((1, 42, 56, 56), 5), block_named(w, "downsample1")).shape \
         == (1, 84, 28, 28)
-    assert downsample_forward(rand((1, 84, 28, 28), 6), w.downsamples[1]).shape \
+    assert downsample_forward(rand((1, 84, 28, 28), 6), block_named(w, "downsample2")).shape \
         == (1, 168, 14, 14)
     # odd inputs round up: ceil((7 + 2 - 3) / 2) + 1 = 4
-    assert downsample_forward(rand((1, 84, 7, 7), 7), w.downsamples[1]).shape \
+    assert downsample_forward(rand((1, 84, 7, 7), 7), block_named(w, "downsample2")).shape \
         == (1, 168, 4, 4)
 
 
@@ -227,11 +234,14 @@ def test_build_model_init_statistics():
             assert arr.dtype == np.float32
 
 
-def test_layer_plan_matches_forward(monkeypatch):
-    # the forward's block calls, in order, with the kinds and output shapes
-    # layer_shapes predicts; the blocks are looked up as module globals at
-    # call time (the benchmark's tracer patches those names)
-    cfg = VARIANTS["Ti"]
+@pytest.mark.parametrize("name", list(VARIANTS))
+def test_layer_plan_matches_forward(monkeypatch, name):
+    # the forward takes its block kinds from the plan; this checks that each
+    # block is looked up as a module global at call time (the benchmark's
+    # tracer patches those names) and gives the output shape layer_shapes
+    # predicts, and that the stage maps are the maps entering each
+    # downsample and the head
+    cfg = VARIANTS[name]
     w = build_model(cfg, 0)
     seen = []
 
@@ -245,10 +255,15 @@ def test_layer_plan_matches_forward(monkeypatch):
     for kind, attr in (("stem", "stem_forward"), ("mbconv", "mbconv_forward"),
                        ("downsample", "downsample_forward"), ("svga", "svga_block_forward")):
         monkeypatch.setattr(arch, attr, recorder(kind, getattr(arch, attr)))
-    model_forward(rand((1, 3, 64, 64), seed=3), w, cfg)
+    _, stages = model_forward_with_stages(rand((1, 3, 64, 64), seed=3), w, cfg)
     shapes = layer_shapes(cfg, 64, 64)
-    assert seen == [(layer.kind, (1, layer.convs[-1][1].out_channels, *hw))
-                    for layer, _, hw in shapes if layer.kind != "head"]
+    out_shapes = [(1, layer.convs[-1][1].out_channels, *hw) for layer, _, hw in shapes]
+    assert seen == [(layer.kind, out) for (layer, _, _), out in zip(shapes, out_shapes)
+                    if layer.kind != "head"]
+    entering = [i - 1 for i, (layer, _, _) in enumerate(shapes)
+                if layer.kind in ("downsample", "head")]
+    assert [shapes[i][0].kind for i in entering] == ["mbconv"] * 3 + ["svga"]
+    assert [t.shape for t in stages] == [out_shapes[i] for i in entering]
     assert shapes[-1][0].kind == "head"
     assert count_macs(cfg, 64, 64) == sum(macs for _, macs, _ in shapes)
 
@@ -292,6 +307,12 @@ def test_model_forward_input_validation():
         model_forward(rand((1, 3, 225, 225)), w, cfg)
     with pytest.raises(ValueError):
         model_forward(rand((1, 1, 64, 64)), w, cfg)
+
+
+def test_model_forward_rejects_weights_of_another_variant():
+    w = build_model(VARIANTS["Ti"], 0)
+    with pytest.raises(ValueError, match="'Ti'.*'B'"):
+        model_forward(rand((1, 3, 64, 64)), w, VARIANTS["B"])
 
 
 def test_get_variant_error():

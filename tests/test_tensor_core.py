@@ -19,6 +19,7 @@ from mobilevig.tensor_core import (
     elem_max,
     elem_sub,
     gelu,
+    gelu_grad,
     global_avg_pool,
     linear,
     roll_2d,
@@ -454,6 +455,17 @@ def test_gelu_non_finite_inputs_give_limits_quietly(dtype, assert_bitwise):
         got = gelu(x)
     assert_bitwise(got[:3], np.array([np.inf, -0.0, np.nan], dtype))
     assert_bitwise(got[3:], gelu(x[3:]))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_grad_gives_its_limits_quietly(dtype, assert_bitwise):
+    # phi underflows to 0 for large |x| by design; only overflow and
+    # invalid operations (x * x, inf * 0) are errors here
+    big = 1e200 if dtype == np.float64 else 1e30  # x * x overflows either way
+    x = np.array([np.inf, -np.inf, big, -big, np.nan], dtype)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        got = gelu_grad(x)
+    assert_bitwise(got, np.array([1.0, 0.0, 1.0, 0.0, np.nan], dtype))
 
 
 # ------------------------------------------- in-place kernels vs allocating
