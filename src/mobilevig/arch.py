@@ -9,7 +9,7 @@ depths, widths and the SVGA connection stride live in VariantConfig.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from typing import Callable
 
 import numpy as np
@@ -114,9 +114,11 @@ class Layer:
     convs: tuple[tuple[str, ConvSpec], ...]
 
 
-def layer_plan(cfg: VariantConfig) -> list[Layer]:
+@cache
+def layer_plan(cfg: VariantConfig) -> tuple[Layer, ...]:
     """The network in forward order. Building, naming and counting all
-    derive from this list."""
+    derive from this plan. It is built once per config and shared by every
+    caller, so it is an immutable tuple of frozen layers."""
     c1, c4 = cfg.stage_channels[0], cfg.stage_channels[3]
     plan = [Layer("stem", "stem", (
         ("0", ConvSpec(3, c1 // 2, (3, 3), 2, 1)),
@@ -137,7 +139,7 @@ def layer_plan(cfg: VariantConfig) -> list[Layer]:
     svga = block_convs(c4, cfg.ffn_ratio)
     plan += [Layer(f"stage4.{b}", "svga", svga) for b in range(cfg.stage_depths[3])]
     plan.append(Layer("head.conv", "head", (("", ConvSpec(c4, cfg.head_hidden, (1, 1))),)))
-    return plan
+    return tuple(plan)
 
 
 def build_model(cfg: VariantConfig, seed: int = 0, *, skeleton: bool = False) -> ModelWeights:

@@ -27,8 +27,23 @@ def _size_pair(value: str) -> tuple[int, int]:
     return _positive_int(h), _positive_int(w)
 
 
+def _seed(value: str) -> int:
+    # numpy's seeded generators take non-negative integers only
+    try:
+        n = int(value)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value!r}")
+    return n
+
+
 def _default_seed() -> int:
-    return int(os.environ.get("MVIG_SEED", "0"))
+    value = os.environ.get("MVIG_SEED", "0")
+    try:
+        return _seed(value)
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"MVIG_SEED: {exc}") from None
 
 
 def _write_json(path: str, doc: dict) -> None:
@@ -51,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run property suites")
     p.add_argument("--suite", default="all",
                    choices=["all", "oracle", "equivariance", "grad", "knn"])
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--json", dest="json_path")
 
     p = sub.add_parser("bench", help="time the aggregation mechanisms")
@@ -68,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--warmup", type=_positive_int, default=10)
     p.add_argument("--threads", type=_positive_int, default=1)
     p.add_argument("--include-projection", action="store_true")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--json", dest="json_path")
     p.add_argument("--csv", dest="csv_path")
 
@@ -77,7 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", type=_positive_int, default=None,
                    help="input size for a random input (default 224); with --input "
                         "FILE, the size the image must have")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--input", default="random",
                    help="'random' or a path to a binary PPM (P6) image")
     p.add_argument("--save", dest="save_path")

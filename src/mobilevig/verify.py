@@ -16,7 +16,7 @@ from .bench import percentiles_ns, time_once_ns
 from .grad_check import grad_check_svga, random_block_weights, random_conv_bn
 from .knn import adjacency_from_fixed_graph, knn_graph, mrconv_knn
 from .svga import build_fixed_offsets, mrconv_gather_oracle, mrconv_roll, svga_block_forward
-from .tensor_core import Array, roll_2d
+from .tensor_core import Array
 
 ORACLE_DIMS = (1, 2, 4, 7, 8, 14)
 ORACLE_KS = (1, 2, 3, 5)
@@ -78,9 +78,30 @@ def run_oracle_suite(seed: int = 0, seeds_per_case: int = ORACLE_SEEDS) -> Prope
         f"{cases} (h,w,k,c) cases x {seeds_per_case} seeds, all bitwise equal")
 
 
+def _all_rolls(x: Array) -> Array:
+    """Every circular shift of the one image in x as one (h*w, c, h, w)
+    batch, image i shifted by (i // w, i % w): one gather with roll_2d's
+    index formula, out[i, :, a, b] = x[0, :, (a - d) mod h, (b - e) mod w]."""
+    _, _, h, w = x.shape
+    d, e = np.divmod(np.arange(h * w), w)
+    rows = (np.arange(h) - d[:, None]) % h
+    cols = (np.arange(w) - e[:, None]) % w
+    return np.ascontiguousarray(
+        x[0][:, rows[:, :, None], cols[:, None, :]].transpose(1, 0, 2, 3))
+
+
 def run_equivariance_suite(seed: int = 0,
                            weight_seeds: int = EQUIVARIANCE_SEEDS) -> PropertyResult:
-    """svga_block_forward commutes with every circular shift, bitwise."""
+    """svga_block_forward commutes with every circular shift, bitwise.
+
+    Each (grid, weight seed) runs two block forwards: one on the input x,
+    and one on the batch of all h*w shifts of x in row-major shift order.
+    The batch output must equal the matching shifts of the first output.
+    This relies on the batch-repacking contract (an image's result does not
+    depend on the batch it runs in), so the suite checks that contract too:
+    a block whose output depends on an image's batch position fails, as
+    does one that is not equivariant. A failure reports the first failing
+    shift in row-major order."""
     c = EQUIVARIANCE_CHANNELS
     checked = 0
     for h, w in EQUIVARIANCE_GRIDS:
@@ -89,18 +110,19 @@ def run_equivariance_suite(seed: int = 0,
             weights = random_block_weights(c, 2, rng, dtype=np.float32)
             x = rng.standard_normal((1, c, h, w)).astype(np.float32)
             base = svga_block_forward(x, weights)
-            for d in range(h):
-                for e in range(w):
-                    lhs = svga_block_forward(roll_2d(x, d, e), weights)
-                    rhs = roll_2d(base, d, e)
-                    checked += 1
-                    if not np.array_equal(lhs, rhs):
-                        ce = {"h": h, "w": w, "c": c, "weight_seed": s,
-                              "shift": [d, e], "seed": seed}
-                        ce.update(_first_mismatch(lhs, rhs))
-                        return PropertyResult(
-                            "translation-equivariance", False,
-                            f"shift ({d},{e}) broke equivariance on {h}x{w}", ce)
+            lhs = svga_block_forward(_all_rolls(x), weights)
+            rhs = _all_rolls(base)
+            checked += h * w
+            bad = np.flatnonzero((lhs != rhs).reshape(h * w, -1).any(axis=1))
+            if bad.size:
+                i = int(bad[0])
+                d, e = divmod(i, w)
+                ce = {"h": h, "w": w, "c": c, "weight_seed": s,
+                      "shift": [d, e], "seed": seed}
+                ce.update(_first_mismatch(lhs[i:i + 1], rhs[i:i + 1]))
+                return PropertyResult(
+                    "translation-equivariance", False,
+                    f"shift ({d},{e}) broke equivariance on {h}x{w}", ce)
     return PropertyResult(
         "translation-equivariance", True,
         f"{checked} shift checks across {weight_seeds} weight seeds, all bitwise")

@@ -92,6 +92,8 @@ def load_weights(path: str) -> tuple[str, dict[str, Array]]:
         out: dict[str, Array] = {}
         for _ in range(count):
             name = r.text("entry name")
+            if name in out:
+                raise WeightsFormatError(f"{path}: entry {name!r} appears more than once")
             rank = r.u32(f"rank of {name!r}")
             shape = struct.unpack(f"<{rank}I", r.read(4 * rank, f"dims of {name!r}"))
             data = np.frombuffer(r.read(4 * math.prod(shape), f"data of {name!r}"), dtype="<f4")

@@ -268,6 +268,13 @@ def test_layer_plan_matches_forward(monkeypatch, name):
     assert count_macs(cfg, 64, 64) == sum(macs for _, macs, _ in shapes)
 
 
+def test_layer_plan_is_built_once_and_immutable():
+    plan = layer_plan(VARIANTS["Ti"])
+    assert layer_plan(VARIANTS["Ti"]) is plan
+    assert isinstance(plan, tuple)
+    assert layer_plan(VARIANTS["S"]) is not plan
+
+
 def test_named_params_unique():
     names = [n for n, _ in named_params(build_model(VARIANTS["Ti"], 0))]
     assert len(names) == len(set(names))

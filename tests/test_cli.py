@@ -187,6 +187,27 @@ def test_forward_deterministic_and_seed_env(capsys, tmp_path, monkeypatch):
     assert a["top5"] == b["top5"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "grad", "--seed", "-1"],
+    ["forward", "--variant", "Ti", "--size", "64", "--seed", "-3"],
+    ["bench", "--size", "7", "--channels", "4", "--seed", "x"],
+])
+def test_bad_seed_flag_names_the_flag(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --seed: expected a non-negative integer" in err
+
+
+@pytest.mark.parametrize("value", ["-2", "x"])
+def test_bad_seed_env_names_the_variable(capsys, monkeypatch, value):
+    monkeypatch.setenv("MVIG_SEED", value)
+    rc = main(["forward", "--variant", "Ti", "--size", "64"])
+    assert rc == 2
+    _assert_one_error_line(capsys, f"MVIG_SEED: expected a non-negative integer, got {value!r}")
+
+
 def test_forward_save_load_roundtrip(capsys, tmp_path):
     w = tmp_path / "ti.mvig"
     j1, j2 = tmp_path / "x.json", tmp_path / "y.json"
@@ -205,7 +226,7 @@ def test_forward_rejects_corrupt_weights(capsys, tmp_path):
     assert "magic" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("corrupt", ["name_length", "truncated"])
+@pytest.mark.parametrize("corrupt", ["name_length", "truncated", "repeated_name"])
 def test_forward_rejects_malformed_weights(capsys, tmp_path, corrupt):
     from mobilevig.arch import VARIANTS, build_model
     from mobilevig.weights_io import save_weights
@@ -215,8 +236,15 @@ def test_forward_rejects_malformed_weights(capsys, tmp_path, corrupt):
     data = bytearray(path.read_bytes())
     if corrupt == "name_length":
         data[18:22] = struct.pack("<I", 0xFFFFFFFF)  # first entry's name length
-    else:
+    elif corrupt == "truncated":
         del data[len(data) // 3:]
+    else:
+        # one more entry, named like the last one (head.fc.bias, 1000 floats)
+        count = struct.unpack("<I", data[14:18])[0]
+        data[14:18] = struct.pack("<I", count + 1)
+        name = b"head.fc.bias"
+        data += struct.pack("<I", len(name)) + name + struct.pack("<II", 1, 1000)
+        data += np.ones(1000, "<f4").tobytes()
     path.write_bytes(bytes(data))
     rc = main(["forward", "--variant", "Ti", "--size", "64", "--load", str(path)])
     assert rc == 2

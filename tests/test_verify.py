@@ -1,0 +1,68 @@
+import numpy as np
+
+from mobilevig import verify
+from mobilevig.grad_check import random_block_weights
+from mobilevig.svga import svga_block_forward
+from mobilevig.tensor_core import roll_2d
+
+
+def _per_shift_counterexample(seed, weight_seeds):
+    """The suite's check one shift at a time, with batch-1 forwards: the
+    first failing shift's (detail, counterexample), or None."""
+    c = verify.EQUIVARIANCE_CHANNELS
+    for h, w in verify.EQUIVARIANCE_GRIDS:
+        for s in range(weight_seeds):
+            rng = np.random.default_rng([seed, h, w, s])
+            weights = random_block_weights(c, 2, rng, dtype=np.float32)
+            x = rng.standard_normal((1, c, h, w)).astype(np.float32)
+            base = verify.svga_block_forward(x, weights)
+            for d in range(h):
+                for e in range(w):
+                    lhs = verify.svga_block_forward(roll_2d(x, d, e), weights)
+                    rhs = roll_2d(base, d, e)
+                    if not np.array_equal(lhs, rhs):
+                        where = np.argwhere(lhs != rhs)
+                        idx = tuple(int(v) for v in where[0])
+                        ce = {"h": h, "w": w, "c": c, "weight_seed": s,
+                              "shift": [d, e], "seed": seed, "index": idx,
+                              "lhs": float(lhs[idx]), "rhs": float(rhs[idx]),
+                              "mismatches": int(where.shape[0])}
+                        return f"shift ({d},{e}) broke equivariance on {h}x{w}", ce
+    return None
+
+
+def test_equivariance_suite_reports_the_first_failing_shift(monkeypatch):
+    def pinned_pixel(x, weights):
+        # output pixel (0, 0, 0) also reads input pixel (1, 2, 3): not equivariant
+        out = svga_block_forward(x, weights)
+        out[:, 0, 0, 0] += np.float32(1e-3) * x[:, 1, 2, 3]
+        return out
+
+    monkeypatch.setattr(verify, "svga_block_forward", pinned_pixel)
+    r = verify.run_equivariance_suite(seed=0, weight_seeds=2)
+    detail, ce = _per_shift_counterexample(seed=0, weight_seeds=2)
+    assert not r.ok
+    assert (r.detail, r.counterexample) == (detail, ce)
+    assert ce["shift"] == [0, 1] and (ce["h"], ce["w"], ce["weight_seed"]) == (8, 8, 0)
+    assert ce["mismatches"] == 2
+
+
+def test_equivariance_suite_fails_on_batch_position_dependence(monkeypatch):
+    def last_image_off(x, weights):
+        out = svga_block_forward(x, weights)
+        if out.shape[0] > 1:
+            out[-1] += np.float32(1e-3)
+        return out
+
+    monkeypatch.setattr(verify, "svga_block_forward", last_image_off)
+    r = verify.run_equivariance_suite(seed=0, weight_seeds=2)
+    assert not r.ok
+    assert r.counterexample["shift"] == [7, 7] and r.counterexample["h"] == 8
+
+
+def test_all_rolls_is_every_shift_in_row_major_order():
+    x = np.random.default_rng(0).standard_normal((1, 3, 5, 7)).astype(np.float32)
+    want = np.concatenate([roll_2d(x, d, e) for d in range(5) for e in range(7)])
+    got = verify._all_rolls(x)
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, want)

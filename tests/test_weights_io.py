@@ -144,6 +144,17 @@ def test_missing_entry_rejected(tmp_path):
         load_into_model(str(path), cfg)
 
 
+def test_repeated_entry_name_rejected(tmp_path):
+    cfg = VARIANTS["Ti"]
+    entries = list(named_params(build_model(cfg, 0)))
+    first_name, first = entries[0]
+    entries.append((first_name, first + 1.0))
+    path = tmp_path / "twice.mvig"
+    _write_raw(str(path), "Ti", entries)
+    with pytest.raises(WeightsFormatError, match=f"{first_name!r} appears more than once"):
+        load_into_model(str(path), cfg)
+
+
 def test_trailing_garbage_rejected(tmp_path):
     cfg = VARIANTS["Ti"]
     path = tmp_path / "trail.mvig"
