@@ -132,14 +132,13 @@ def environment(threads: int) -> dict:
 def aggregation_step(mechanism: str, h: int, w: int, c: int, k: int,
                      batch: int = 1, include_projection: bool = False,
                      seed: int = 0) -> Callable[[], np.ndarray]:
-    """The operation time_aggregation times, on its seeded input."""
+    """The operation time_aggregation times, on its seeded input: one
+    generator keyed by seed draws x, then the projection."""
     if mechanism not in ("svga", "knn"):
         raise ValueError(f"unknown mechanism {mechanism!r}")
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((batch, c, h, w)).astype(np.float32)
-    proj = None
-    if include_projection:
-        proj = random_conv_bn(np.random.default_rng([seed, 0xB0]), 2 * c, 2 * c, np.float32)
+    proj = random_conv_bn(rng, 2 * c, 2 * c, np.float32) if include_projection else None
     if mechanism == "svga":
         if include_projection:
             return lambda: mrconv_roll(x, k, proj)

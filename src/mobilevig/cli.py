@@ -294,34 +294,25 @@ _COMMANDS = {
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def _pin_threads(argv: list[str]) -> dict[str, str | None]:
-    """Sets the BLAS thread variables from --threads (default 1) and
-    returns their prior values (None: unset)."""
-    threads = "1"
-    for i, a in enumerate(argv):
-        if a == "--threads" and i + 1 < len(argv):
-            threads = argv[i + 1]
-        elif a.startswith("--threads="):
-            threads = a.split("=", 1)[1]
+def _pin_threads(threads: int) -> dict[str, str | None]:
+    """Sets the BLAS thread variables to `threads` and returns their prior
+    values (None: unset)."""
     prior = {var: os.environ.get(var) for var in _THREAD_VARS}
     for var in _THREAD_VARS:
-        os.environ[var] = threads
+        os.environ[var] = str(threads)
     return prior
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    prior = {}
-    if argv and argv[0] == "bench":
-        prior = _pin_threads(argv)  # must happen before numpy is first imported
+    # the parser imports no numpy, so bench pins its threads before numpy loads
+    args = _build_parser().parse_args(argv)
+    prior = _pin_threads(args.threads) if args.command == "bench" else {}
     try:
-        args = _build_parser().parse_args(argv)
-        try:
-            return _COMMANDS[args.command](args)
-        except (ValueError, OSError) as exc:
-            # bad input values and files that cannot be read or written
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        return _COMMANDS[args.command](args)
+    except (ValueError, OSError) as exc:
+        # bad input values and files that cannot be read or written
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     finally:
         # later child processes of an in-process caller get the thread
         # counts it had

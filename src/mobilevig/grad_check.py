@@ -227,29 +227,34 @@ def _named_weight_arrays(w: SvgaBlockWeights) -> list[tuple[str, Array]]:
     return out
 
 
+# central-difference step; the near-tie margin that forces a resample; the
+# resamples tried before giving up
+FD_STEP = 1e-5
+TIE_MARGIN = 1e-6
+MAX_RESAMPLES = 25
+
+
 def grad_check_svga(shape: tuple[int, int, int, int] = (1, 4, 4, 4), k: int = 2,
-                    seed: int = 0, *, step: float = 1e-5,
-                    identity_act: bool = False, margin: float = 1e-6,
-                    max_resamples: int = 25) -> float:
+                    seed: int = 0, *, identity_act: bool = False) -> float:
     """Max relative error between analytic and central-difference gradients.
 
     Checks the gradient of sum(block(x)) with respect to x and every conv
     weight, conv bias, and batch-norm affine parameter. Inputs are resampled
-    (deterministically) whenever a max fold has a tie within `margin` or a
-    GeLU pre-activation is within `margin` of zero.
+    (deterministically) whenever a max fold has a tie within TIE_MARGIN or
+    a GeLU pre-activation is within TIE_MARGIN of zero.
     """
     n, c, h, w_ = shape
     if n * c * h * w_ > 4096:
         raise ValueError("gradient check limited to <= 4096 elements")
-    for attempt in range(max_resamples):
+    for attempt in range(MAX_RESAMPLES):
         rng = np.random.default_rng([seed, attempt])
         weights = random_block_weights(c, k, rng)
         x = rng.normal(size=shape)
         z, tape = _forward_tape(x, weights, identity_act)
         z_finite = bool(np.all(np.isfinite(z)))
-        if z_finite and tape.min_tie_gap < margin:
+        if z_finite and tape.min_tie_gap < TIE_MARGIN:
             continue
-        if z_finite and not identity_act and tape.min_act_abs < margin:
+        if z_finite and not identity_act and tape.min_act_abs < TIE_MARGIN:
             continue
         if z_finite and not identity_act:
             ref = svga_block_forward(x, weights)
@@ -270,15 +275,15 @@ def grad_check_svga(shape: tuple[int, int, int, int] = (1, 4, 4, 4), k: int = 2,
             analytic = grads[name]
             for i in range(arr.size):
                 orig = arr.flat[i]
-                arr.flat[i] = orig + step
+                arr.flat[i] = orig + FD_STEP
                 lp = loss()
-                arr.flat[i] = orig - step
+                arr.flat[i] = orig - FD_STEP
                 lm = loss()
                 arr.flat[i] = orig
-                fd = float((lp - lm) / (2.0 * step))
+                fd = float((lp - lm) / (2.0 * FD_STEP))
                 a = float(analytic.flat[i])
                 rel = abs(a - fd) / max(abs(a), abs(fd), 1e-6)
                 max_rel = max(max_rel, rel)
         return max_rel
     raise GradCheckError(
-        f"no input free of near-ties found in {max_resamples} resamples")
+        f"no input free of near-ties found in {MAX_RESAMPLES} resamples")

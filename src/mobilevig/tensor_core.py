@@ -17,19 +17,18 @@ of the BLAS build (each output column is reduced in the same order wherever
 it sits in a chunk), not a guarantee of the BLAS interface; the tests check
 it bitwise.
 
-A depthwise convolution copies the input, a block of channels at a time,
-into a zero-bordered buffer, each channel's map flat with kw - 1 zeros of
-slack after it. At stride 1 every tap is then one contiguous run of
-oh * wp elements of that buffer (wp the padded width): the accumulation
+A depthwise convolution (stride 1 only) copies the input, a block of
+channels at a time, into a zero-bordered buffer, each channel's map flat
+with kw - 1 zeros of slack after it. Every tap is then one contiguous run
+of oh * wp elements of that buffer (wp the padded width): the accumulation
 works on "wide rows" whose last kw - 1 columns are garbage that no output
 reads, and ufunc loops run over a whole map rather than one output row.
-Larger strides take strided views of the same buffer. A block holds about
-_DW_BLOCK scratch elements, so the tap products stay in L2; each element
-sees acc = tap * w, then acc = acc + tap * w per tap in row-major order,
-then + bias, whatever block it falls in. The kernel runs with numpy's ufunc
-buffer set to _DW_BUFSIZE elements, restored on exit: with the default
-buffer numpy copies each tap's per-channel weight broadcast through it
-whenever a map is shorter than the buffer.
+A block holds about _DW_BLOCK scratch elements, so the tap products stay
+in L2; each element sees acc = tap * w, then acc = acc + tap * w per tap
+in row-major order, then + bias, whatever block it falls in. The kernel
+runs with numpy's ufunc buffer set to _DW_BUFSIZE elements, restored on
+exit: with the default buffer numpy copies each tap's per-channel weight
+broadcast through it whenever a map is shorter than the buffer.
 
 Float32 GeLU is x * Phi(x) with Phi a clamped rational function,
 Phi(x) = 0.5 + xc * P(xc^2) / Q(xc^2), P monic of degree 6 and Q of degree
@@ -214,22 +213,20 @@ def _pad_hw(x: Array, p: int) -> Array:
     return out
 
 
-def _conv_depthwise(x: Array, weight: Array, bias: Array, stride: int,
-                    padding: int, oh: int, ow: int) -> Array:
+def _conv_depthwise(x: Array, weight: Array, bias: Array, padding: int,
+                    oh: int, ow: int) -> Array:
     n, c, h, w = x.shape
     _, _, kh, kw = weight.shape
     hp, wp = h + 2 * padding, w + 2 * padding
-    # each channel's zero-bordered map, flat, plus kw - 1 zeros of slack: at
-    # stride 1 tap (ky, kx) is the contiguous run of oh * wp elements from
-    # ky * wp + kx, a "wide row" map whose last kw - 1 columns are garbage
-    # and never read; at larger strides a tap is a strided view of the map
+    # each channel's zero-bordered map, flat, plus kw - 1 zeros of slack: tap
+    # (ky, kx) is the contiguous run of oh * wp elements from ky * wp + kx, a
+    # "wide row" map whose last kw - 1 columns are garbage and never read
     span = hp * wp + kw - 1
-    wide = wp if stride == 1 else ow
     # channels per block: the block's scratch holds about _DW_BLOCK elements
-    cb = min(c, max(1, _DW_BLOCK // (oh * wide)))
+    cb = min(c, max(1, _DW_BLOCK // (oh * wp)))
     buf = np.zeros((cb, span), dtype=x.dtype)
     maps = buf[:, :hp * wp].reshape(cb, hp, wp)
-    acc = np.empty((cb, oh, wide), dtype=x.dtype)
+    acc = np.empty((cb, oh, wp), dtype=x.dtype)
     term = np.empty_like(acc)
     out = np.empty((n, c, oh, ow), dtype=x.dtype)
     saved = np.setbufsize(_DW_BUFSIZE)
@@ -243,12 +240,8 @@ def _conv_depthwise(x: Array, weight: Array, bias: Array, stride: int,
                 # acc = acc + tap * w per tap in row-major order, then + bias
                 for ky in range(kh):
                     for kx in range(kw):
-                        if stride == 1:
-                            start = ky * wp + kx
-                            tap = buf[:m, start:start + oh * wp].reshape(m, oh, wp)
-                        else:
-                            tap = maps[:m, ky:ky + (oh - 1) * stride + 1:stride,
-                                       kx:kx + (ow - 1) * stride + 1:stride]
+                        start = ky * wp + kx
+                        tap = buf[:m, start:start + oh * wp].reshape(m, oh, wp)
                         wk = weight[c0:c0 + m, 0, ky, kx, None, None]
                         if ky == kx == 0:
                             np.multiply(tap, wk, out=a)
@@ -263,7 +256,8 @@ def _conv_depthwise(x: Array, weight: Array, bias: Array, stride: int,
 
 
 def conv2d(x: Array, spec: ConvSpec, weight: Array, bias: Array) -> Array:
-    """Dense (groups=1) or depthwise 2-D cross-correlation with zero padding."""
+    """Dense (groups=1) or stride-1 depthwise 2-D cross-correlation with zero
+    padding."""
     _check_nchw(x)
     _require(x.shape[1] == spec.in_channels,
              f"input has {x.shape[1]} channels, spec expects {spec.in_channels}")
@@ -276,7 +270,9 @@ def conv2d(x: Array, spec: ConvSpec, weight: Array, bias: Array) -> Array:
     oh, ow = spec.out_size(x.shape[2], x.shape[3])
 
     if spec.groups == spec.in_channels == spec.out_channels:
-        return _conv_depthwise(x, weight, bias, spec.stride, spec.padding, oh, ow)
+        _require(spec.stride == 1,
+                 f"depthwise convs support stride 1 only, got stride={spec.stride}")
+        return _conv_depthwise(x, weight, bias, spec.padding, oh, ow)
     _require(spec.groups == 1,
              f"only dense (groups=1) and depthwise convs are supported, got groups="
              f"{spec.groups} for {spec.in_channels} -> {spec.out_channels} channels")

@@ -50,20 +50,22 @@ def _first_mismatch(a: Array, b: Array) -> dict:
 
 
 def run_oracle_suite(seed: int = 0, seeds_per_case: int = ORACLE_SEEDS) -> PropertyResult:
-    """Roll-based aggregation vs explicit gather, bitwise, over a dim/k/c grid."""
+    """Roll-based aggregation vs explicit gather, bitwise, over a dim/k/c grid.
+
+    Each (h, w, k, c) case draws from one generator keyed
+    (seed, h, w, k, c): the projection first, then all seeds_per_case
+    images in one (seeds_per_case, c, h, w) draw, so a smaller count sees
+    the first images of a larger one. A counterexample's index[0] is the
+    image within that draw."""
     cases = 0
     for h in ORACLE_DIMS:
         for w in ORACLE_DIMS:
             for k in ORACLE_KS:
                 for c in ORACLE_CHANNELS:
                     graph = build_fixed_offsets(h, w, k)
-                    proj = random_conv_bn(np.random.default_rng([seed, h, w, k, c]), 2 * c, c,
-                                          np.float32)
-                    x = np.stack([
-                        np.random.default_rng([seed, h, w, k, c, s])
-                        .standard_normal((c, h, w)).astype(np.float32)
-                        for s in range(seeds_per_case)
-                    ])
+                    rng = np.random.default_rng([seed, h, w, k, c])
+                    proj = random_conv_bn(rng, 2 * c, c, np.float32)
+                    x = rng.standard_normal((seeds_per_case, c, h, w)).astype(np.float32)
                     got = mrconv_roll(x, k, proj)
                     want = mrconv_gather_oracle(x, graph, proj)
                     cases += 1

@@ -118,6 +118,31 @@ def test_bench_leaves_thread_vars_as_it_found_them(capsys, monkeypatch):
     assert os.environ["OMP_NUM_THREADS"] == "3"
 
 
+@pytest.mark.parametrize("flag", [["--thread", "2"], ["--thr=2"], ["--threads", "2"]],
+                         ids=["thread", "thr=", "threads"])
+def test_bench_pins_threads_from_an_abbreviated_flag(monkeypatch, flag):
+    import os
+
+    from mobilevig import cli
+
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    for var in names:
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    seen = {}
+
+    def spy(args):
+        seen.update({var: os.environ.get(var) for var in names}, threads=args.threads)
+        return 0
+
+    monkeypatch.setitem(cli._COMMANDS, "bench", spy)
+    assert main(["bench", *flag]) == 0
+    assert seen == {"threads": 2, **dict.fromkeys(names, "2")}
+    assert "OPENBLAS_NUM_THREADS" not in os.environ
+    assert "MKL_NUM_THREADS" not in os.environ
+    assert os.environ["OMP_NUM_THREADS"] == "3"
+
+
 def test_bench_rejects_low_reps(capsys):
     rc = main(["bench", "--reps", "10", "--size", "7", "--channels", "4"])
     assert rc == 2

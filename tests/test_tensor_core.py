@@ -179,6 +179,12 @@ def test_conv_rejects_grouped_conv_that_is_not_depthwise():
         conv2d(rand((1, 4, 3, 3)), spec, rand(spec.weight_shape()), np.zeros(8, np.float32))
 
 
+def test_conv_rejects_strided_depthwise_conv():
+    spec = ConvSpec(4, 4, (3, 3), stride=2, padding=1, groups=4)
+    with pytest.raises(ValueError, match="stride=2"):
+        conv2d(rand((1, 4, 8, 8)), spec, rand(spec.weight_shape()), np.zeros(4, np.float32))
+
+
 # Pixel grids below, at and above the GEMM chunk width, and not multiples of it.
 _INVARIANCE_GRIDS = [(5, 7), (8, 8), (9, 11), (16, 20)]
 _INVARIANCE_SPECS = [ConvSpec(96, 40, (1, 1)),
@@ -486,7 +492,7 @@ def _depthwise_allocating(x, weight, bias, stride, padding):
     return acc + bias.reshape(1, c, 1, 1)
 
 
-@pytest.mark.parametrize("stride,padding", [(1, 1), (2, 1), (2, 0)])
+@pytest.mark.parametrize("stride,padding", [(1, 1)])
 def test_depthwise_in_place_matches_allocating_bitwise(stride, padding):
     c = 6
     x = rand((2, c, 9, 8), seed=25)
@@ -519,13 +525,12 @@ def _depthwise_case(shape, stride, padding, dtype, seed=30):
 
 def test_depthwise_large_maps_span_several_default_blocks():
     n, c, h, w = _DW_SHAPES[0]
-    for stride in (1, 2):
-        oh, ow = ConvSpec(c, c, (3, 3), stride, 1, groups=c).out_size(h, w)
-        assert c * oh * ow > _DW_BLOCK
+    oh, ow = ConvSpec(c, c, (3, 3), 1, 1, groups=c).out_size(h, w)
+    assert c * oh * ow > _DW_BLOCK
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 0), (2, 1)])
+@pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1)])
 @pytest.mark.parametrize("shape", _DW_SHAPES, ids=["large", "small"])
 def test_depthwise_channel_blocks_match_allocating_bitwise(monkeypatch, shape, stride,
                                                           padding, dtype):
@@ -568,7 +573,7 @@ def test_depthwise_restores_the_callers_ufunc_buffer_size():
         assert np.getbufsize() == 4096
         # a bias one channel short fails inside the kernel's loop
         with pytest.raises(ValueError):
-            tensor_core._conv_depthwise(x, wgt, b[:-1], 1, 1, oh, ow)
+            tensor_core._conv_depthwise(x, wgt, b[:-1], 1, oh, ow)
         assert np.getbufsize() == 4096
     finally:
         np.setbufsize(saved)

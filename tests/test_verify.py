@@ -1,8 +1,8 @@
 import numpy as np
 
-from mobilevig import verify
+from mobilevig import svga, verify
 from mobilevig.grad_check import random_block_weights
-from mobilevig.svga import svga_block_forward
+from mobilevig.svga import mrconv_roll, svga_block_forward
 from mobilevig.tensor_core import roll_2d
 
 
@@ -66,3 +66,36 @@ def test_all_rolls_is_every_shift_in_row_major_order():
     got = verify._all_rolls(x)
     assert got.flags.c_contiguous
     assert np.array_equal(got, want)
+
+
+def test_oracle_suite_catches_a_window_one_shift_short(monkeypatch):
+    def short_window(x, axis, k, bufs):
+        # the min over shifts m*k for m < M - 1 only, M = ceil(L / k)
+        out = bufs[0]
+        out[...] = x
+        for m in range(1, -(-x.shape[axis] // k) - 1):
+            np.minimum(out, np.roll(x, m * k, axis=axis), out=out)
+        return out
+
+    monkeypatch.setattr(svga, "_window_min", short_window)
+    r = verify.run_oracle_suite(seed=0)
+    assert not r.ok
+    ce = r.counterexample
+    assert set(ce) == {"h", "w", "k", "c", "seed", "index", "lhs", "rhs", "mismatches"}
+    assert (ce["h"], ce["w"], ce["k"], ce["c"], ce["seed"]) == (1, 2, 1, 1, 0)
+    assert r.detail == "mismatch at h=1 w=2 k=1 c=1"
+
+
+def test_oracle_suite_with_one_image_sees_the_first_of_a_larger_draw(monkeypatch):
+    first = {}
+
+    def recording_roll(x, k, proj):
+        first.setdefault(len(x), []).append(x[0].copy())
+        return mrconv_roll(x, k, proj)
+
+    monkeypatch.setattr(verify, "mrconv_roll", recording_roll)
+    assert verify.run_oracle_suite(seed=0, seeds_per_case=1).ok
+    assert verify.run_oracle_suite(seed=0).ok
+    one, many = first[1], first[verify.ORACLE_SEEDS]
+    assert len(one) == len(many) == 432
+    assert all(np.array_equal(a, b) for a, b in zip(one, many))
