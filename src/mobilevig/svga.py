@@ -29,8 +29,6 @@ from .tensor_core import (
     concat_channels,
     conv_bn,
     elem_add,
-    elem_max,
-    elem_sub,
     gelu,
 )
 
@@ -143,20 +141,24 @@ def gather_aggregate(x: Array, graph: FixedGraph) -> Array:
     For each pixel p the neighbors are looked up through index tables built
     from the offset lists, and max(x - neighbor) is folded from zeros,
     column offsets ascending, then row offsets ascending: three passes per
-    neighbour, independent of mrconv_aggregate's window minima.
+    neighbour (gather, subtract, max), independent of mrconv_aggregate's
+    window minima. Each neighbour is gathered into one scratch buffer and
+    the difference is written over it; the operands keep the order of
+    max(x - neighbor, acc), so NaN and zero signs come out as that fold's.
+    The input is not modified.
     """
     h, w = x.shape[2], x.shape[3]
     _require(graph.h == h and graph.w == w,
              f"graph is {graph.h}x{graph.w} but input is {h}x{w}")
-    xj = np.zeros_like(x)
-    rows = np.arange(h)
-    cols = np.arange(w)
-    for off in graph.col_offsets:
-        neighbor = x[:, :, (rows - off) % h, :]
-        xj = elem_max(elem_sub(x, neighbor), xj)
-    for off in graph.row_offsets:
-        neighbor = x[:, :, :, (cols - off) % w]
-        xj = elem_max(elem_sub(x, neighbor), xj)
+    xj = np.zeros(x.shape, x.dtype)
+    buf = np.empty(x.shape, x.dtype)
+    # the indices are in range by construction, so "clip" never clips; it
+    # lets take write straight into buf
+    for axis, offsets, length in ((2, graph.col_offsets, h), (3, graph.row_offsets, w)):
+        for off in offsets:
+            np.take(x, (np.arange(length) - off) % length, axis=axis, out=buf, mode="clip")
+            np.subtract(x, buf, out=buf)
+            np.maximum(buf, xj, out=xj)
     return xj
 
 

@@ -21,7 +21,7 @@ from .tensor_core import Array
 ORACLE_DIMS = (1, 2, 4, 7, 8, 14)
 ORACLE_KS = (1, 2, 3, 5)
 ORACLE_CHANNELS = (1, 3, 16)
-ORACLE_SEEDS = 100
+ORACLE_IMAGES = 100
 
 EQUIVARIANCE_GRIDS = ((8, 8), (7, 7))
 EQUIVARIANCE_SEEDS = 20
@@ -49,14 +49,14 @@ def _first_mismatch(a: Array, b: Array) -> dict:
             "mismatches": int(where.shape[0])}
 
 
-def run_oracle_suite(seed: int = 0, seeds_per_case: int = ORACLE_SEEDS) -> PropertyResult:
+def run_oracle_suite(seed: int = 0, seeds_per_case: int = ORACLE_IMAGES) -> PropertyResult:
     """Roll-based aggregation vs explicit gather, bitwise, over a dim/k/c grid.
 
     Each (h, w, k, c) case draws from one generator keyed
-    (seed, h, w, k, c): the projection first, then all seeds_per_case
-    images in one (seeds_per_case, c, h, w) draw, so a smaller count sees
-    the first images of a larger one. A counterexample's index[0] is the
-    image within that draw."""
+    (seed, h, w, k, c): the projection first, then seeds_per_case images
+    in one (seeds_per_case, c, h, w) draw, so a smaller count sees the
+    first images of a larger one. seeds_per_case counts images, not
+    seeds. A counterexample's index[0] is the image within that draw."""
     cases = 0
     for h in ORACLE_DIMS:
         for w in ORACLE_DIMS:
@@ -77,7 +77,7 @@ def run_oracle_suite(seed: int = 0, seeds_per_case: int = ORACLE_SEEDS) -> Prope
                             f"mismatch at h={h} w={w} k={k} c={c}", ce)
     return PropertyResult(
         "oracle-equivalence", True,
-        f"{cases} (h,w,k,c) cases x {seeds_per_case} seeds, all bitwise equal")
+        f"{cases} (h,w,k,c) cases x {seeds_per_case} images, all bitwise equal")
 
 
 def _all_rolls(x: Array) -> Array:
@@ -148,32 +148,29 @@ def run_grad_suite(seed: int = 0) -> PropertyResult:
     return PropertyResult("gradient-check", True, detail)
 
 
-def knn_brute_force(features: Array, k: int) -> Array:
-    """Scalar O(n^2) nearest-neighbor reference with explicit tie-breaks."""
-    f = [[float(v) for v in row] for row in np.asarray(features, dtype=np.float64)]
-    n = len(f)
-    nc = len(f[0])
-    out = np.empty((n, k), dtype=np.int64)
-    for i in range(n):
-        ranked = []
-        fi = f[i]
-        for j in range(n):
-            if j == i:
-                continue
-            fj = f[j]
-            s = 0.0
-            for ch in range(nc):
-                d = fi[ch] - fj[ch]
-                s += d * d
-            ranked.append((s, j))
-        ranked.sort()
-        out[i] = [j for _, j in ranked[:k]]
-    return out
+def knn_exact_reference(features: Array, k: int) -> Array:
+    """Exact k nearest neighbours of each row of an (n, c) feature array,
+    ties to the lower index.
+
+    Squared distances are summed in float64 one channel at a time, in
+    ascending channel order from zeros: each pair gets the same rounding
+    sequence as a scalar s += d * d loop. The diagonal is +inf and each
+    row is stably argsorted, so equal distances keep index order. This is
+    written independently of knn.pairwise_sq_dists, the code under test.
+    """
+    f = np.asarray(features, dtype=np.float64)
+    d = np.zeros((f.shape[0], f.shape[0]))
+    for col in f.T:
+        diff = col[:, None] - col[None, :]
+        d += diff * diff
+    np.fill_diagonal(d, np.inf)
+    return np.argsort(d, axis=1, kind="stable")[:, :k]
 
 
 def run_knn_suite(seed: int = 0, seeds: int = KNN_SEEDS) -> PropertyResult:
-    """knn_graph vs the scalar brute force, plus the fixed-adjacency bridge
-    to the gather oracle and a graph-construction cost sanity bound."""
+    """knn_graph vs knn_exact_reference on `seeds` exact-reference cases
+    (50 by default), plus the fixed-adjacency bridge to the gather oracle
+    and a graph-construction cost sanity bound."""
     for s in range(seeds):
         h, w = KNN_GRIDS[s % len(KNN_GRIDS)]
         c = (1, 3, 4)[s % 3]
@@ -186,7 +183,7 @@ def run_knn_suite(seed: int = 0, seeds: int = KNN_SEEDS) -> PropertyResult:
             flat[:, : min(3, h * w)] = flat[:, :1]
         adj = knn_graph(x, k)
         feats = x.transpose(0, 2, 3, 1).reshape(h * w, c)
-        ref = knn_brute_force(feats, k)
+        ref = knn_exact_reference(feats, k)
         if not np.array_equal(adj.neighbor_idx[0], ref):
             bad = np.argwhere(adj.neighbor_idx[0] != ref)[0]
             return PropertyResult(
@@ -220,7 +217,7 @@ def run_knn_suite(seed: int = 0, seeds: int = KNN_SEEDS) -> PropertyResult:
             {"ratio": ratio, "seed": seed})
     return PropertyResult(
         "knn-graph", True,
-        f"{seeds} brute-force cases exact; fixed-adjacency bitwise; "
+        f"{seeds} exact-reference cases exact; fixed-adjacency bitwise; "
         f"cost ratio {ratio:.1f}x")
 
 

@@ -29,7 +29,7 @@ def _report(num, name, ok, detail=""):
 
 def test_criterion_1_oracle_equivalence():
     r = run_oracle_suite(seed=0)
-    _report(1, "oracle equivalence (bitwise, 432 cases x 100 seeds)", r.ok, r.detail)
+    _report(1, "oracle equivalence (bitwise, 432 cases x 100 images)", r.ok, r.detail)
     assert r.ok, r.counterexample
 
 
@@ -83,7 +83,7 @@ def test_criterion_5_shape_schedule():
 
 def test_criterion_6_knn_correctness():
     r = run_knn_suite(seed=0)
-    _report(6, "knn graph matches brute force (50 seeds, exact)", r.ok, r.detail)
+    _report(6, "knn graph matches exact reference (50 cases, exact)", r.ok, r.detail)
     assert r.ok, r.counterexample
 
 

@@ -12,7 +12,7 @@ from mobilevig.knn import (
 )
 from mobilevig.svga import build_fixed_offsets, mrconv_gather_oracle
 from mobilevig.tensor_core import ConvSpec, concat_channels, conv_bn, identity_conv_bn
-from mobilevig.verify import _knn_cost_ratio, knn_brute_force
+from mobilevig.verify import _knn_cost_ratio, knn_exact_reference
 
 
 def rand(shape, seed=0):
@@ -52,6 +52,36 @@ def full_sort_knn(x, k):
 def assert_same_graph(x, k):
     got = knn_graph(x, k).neighbor_idx
     want = full_sort_knn(x, k)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def knn_brute_force(features, k):
+    """Scalar O(n^2) nearest-neighbor ground truth with explicit tie-breaks:
+    Python floats, s += d * d over channels, then a (distance, index) sort."""
+    f = [[float(v) for v in row] for row in np.asarray(features, dtype=np.float64)]
+    n = len(f)
+    nc = len(f[0])
+    out = np.empty((n, k), dtype=np.int64)
+    for i in range(n):
+        ranked = []
+        fi = f[i]
+        for j in range(n):
+            if j == i:
+                continue
+            fj = f[j]
+            s = 0.0
+            for ch in range(nc):
+                d = fi[ch] - fj[ch]
+                s += d * d
+            ranked.append((s, j))
+        ranked.sort()
+        out[i] = [j for _, j in ranked[:k]]
+    return out
+
+
+def assert_reference_is_brute_force(feats, k):
+    got = knn_exact_reference(feats, k)
+    want = knn_brute_force(feats, k)
     assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
@@ -96,6 +126,48 @@ def test_matches_brute_force_with_ties():
         adj = knn_graph(x, k)
         feats = x.transpose(0, 2, 3, 1).reshape(h * w, c)
         assert np.array_equal(adj.neighbor_idx[0], knn_brute_force(feats, k))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_exact_reference_is_brute_force_on_knn_suite_cases(seed):
+    # the knn suite's 50 cases, drawn as run_knn_suite draws them, with the
+    # duplicated columns of every fifth case
+    for s in range(verify.KNN_SEEDS):
+        h, w = verify.KNN_GRIDS[s % len(verify.KNN_GRIDS)]
+        c = (1, 3, 4)[s % 3]
+        k = min(1 + s % 8, h * w - 1)
+        x = np.random.default_rng([seed, s]).standard_normal((1, c, h, w)).astype(np.float32)
+        if s % 5 == 0:
+            flat = x.reshape(c, h * w)
+            flat[:, : min(3, h * w)] = flat[:, :1]
+        assert_reference_is_brute_force(x.transpose(0, 2, 3, 1).reshape(h * w, c), k)
+
+
+def test_exact_reference_is_brute_force_with_every_other_node():
+    rng = np.random.default_rng(16)
+    for n, c in ((2, 1), (9, 3), (30, 5)):
+        feats = rng.integers(-2, 3, size=(n, c)).astype(np.float32)
+        assert_reference_is_brute_force(feats, n - 1)
+        assert_reference_is_brute_force(rng.standard_normal((n, c)), n - 1)
+
+
+def test_exact_reference_is_brute_force_at_near_ties():
+    # tiny spreads about a large common offset; rounded to float32 they
+    # collapse onto a few values, so most distances tie exactly
+    for seed in range(4):
+        rng = np.random.default_rng([17, seed])
+        c = int(rng.integers(1, 9))
+        feats = 1e3 + 1e-4 * rng.standard_normal((40, c))
+        for k in (1, 5, 39):
+            assert_reference_is_brute_force(feats, k)
+            assert_reference_is_brute_force(feats.astype(np.float32), k)
+        # node 0 and every other node, a permutation of one small vector, are
+        # equally far apart in exact arithmetic: only the summation order of
+        # the rounded squares separates them
+        v = 1e-4 * rng.standard_normal(16)
+        feats = 1e3 + np.stack([np.zeros(16)] + [v[rng.permutation(16)] for _ in range(29)])
+        for k in (1, 10, 29):
+            assert_reference_is_brute_force(feats, k)
 
 
 def test_distances_accumulate_per_channel():

@@ -116,6 +116,49 @@ def test_aggregate_matches_gather_on_spot_checks():
         assert np.array_equal(mrconv_aggregate(x, k), gather_aggregate(x, graph))
 
 
+def offset_fold(x, graph):
+    """X_j as one allocating gather, subtract and max per offset, folded
+    from zeros, column offsets then row offsets: the definition
+    gather_aggregate must match bitwise."""
+    h, w = x.shape[2], x.shape[3]
+    acc = np.zeros_like(x)
+    for off in graph.col_offsets:
+        acc = np.maximum(x - x[:, :, (np.arange(h) - off) % h, :], acc)
+    for off in graph.row_offsets:
+        acc = np.maximum(x - x[..., (np.arange(w) - off) % w], acc)
+    return acc
+
+
+def special_value_input(shape, dtype, seed):
+    """Small integers, so that differences tie, with NaN, +-0 and +-inf
+    drawn at half of the positions."""
+    rng = np.random.default_rng(seed)
+    x = rng.integers(-3, 4, size=shape).astype(dtype)
+    flat = x.reshape(-1)
+    pos = rng.choice(flat.size, size=max(1, flat.size // 2), replace=False)
+    flat[pos] = rng.choice(np.array([np.nan, 0.0, -0.0, np.inf, -np.inf], dtype), size=pos.size)
+    return x
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gather_aggregate_equals_offset_fold_bitwise(dtype, assert_bitwise):
+    cases = ((8, 8, 2), (5, 7, 1), (7, 3, 3), (1, 6, 2), (14, 4, 1), (4, 4, 4), (3, 2, 5))
+    for h, w, k in cases:
+        graph = build_fixed_offsets(h, w, k)
+        x = special_value_input((2, 3, h, w), dtype, seed=h * 100 + w * 10 + k)
+        # a non-contiguous view: every other channel, columns reversed
+        strided = special_value_input((2, 6, h, w), dtype, seed=k)[:, ::2, :, ::-1]
+        for inp in (x, strided):
+            kept = inp.copy()
+            with np.errstate(invalid="ignore"):  # inf - inf
+                got = gather_aggregate(inp, graph)
+                want = offset_fold(inp, graph)
+            assert_bitwise(got, want)
+            assert_bitwise(inp, kept)
+            if not graph.neighbors_per_pixel():  # k >= h and k >= w
+                assert_bitwise(got, np.zeros(inp.shape, dtype))
+
+
 def shift_fold(x, k):
     """X_j as one roll, one subtract and one max per shift of fold_shifts,
     folded from zeros: the definition mrconv_aggregate must match bitwise."""

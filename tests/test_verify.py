@@ -96,6 +96,6 @@ def test_oracle_suite_with_one_image_sees_the_first_of_a_larger_draw(monkeypatch
     monkeypatch.setattr(verify, "mrconv_roll", recording_roll)
     assert verify.run_oracle_suite(seed=0, seeds_per_case=1).ok
     assert verify.run_oracle_suite(seed=0).ok
-    one, many = first[1], first[verify.ORACLE_SEEDS]
+    one, many = first[1], first[verify.ORACLE_IMAGES]
     assert len(one) == len(many) == 432
     assert all(np.array_equal(a, b) for a, b in zip(one, many))
