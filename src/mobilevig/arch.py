@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .svga import SvgaBlockWeights, block_convs, block_weights, svga_block_forward
+from .svga import block_convs, svga_block_forward
 from .tensor_core import (
     Array,
     ConvBn,
@@ -60,20 +60,14 @@ def get_variant(name: str) -> VariantConfig:
 
 
 @dataclass
-class MbconvWeights:
-    expand: ConvBn     # 1x1, C -> expansion*C
-    depthwise: ConvBn  # 3x3 depthwise on expansion*C
-    project: ConvBn    # 1x1, expansion*C -> C
-
-
-@dataclass
 class ModelWeights:
-    """One block per layer_plan entry, in plan order: the stem's ConvBn
-    list, an MbconvWeights, a downsample's or head.conv's ConvBn, or an
-    SvgaBlockWeights. The classifier follows the plan."""
+    """One block per layer_plan entry, in plan order. A block is the tuple
+    of its plan entry's ConvBns, in the order of the entry's convs: 2 for
+    the stem, 3 for an MBConv, 1 for a downsample or the head, 5 for an
+    SVGA block. The classifier follows the plan."""
 
     variant: str
-    blocks: list[list[ConvBn] | MbconvWeights | ConvBn | SvgaBlockWeights]
+    blocks: list[tuple[ConvBn, ...]]
     head_weight: Array
     head_bias: Array
 
@@ -106,8 +100,9 @@ def _init_conv_bn(draw: Callable[[tuple[int, ...]], Array], spec: ConvSpec) -> C
 @dataclass(frozen=True)
 class Layer:
     """One block of the network: its parameter-name prefix, its kind (stem,
-    mbconv, downsample, svga or head), and its convs as (path inside the
-    block's weights, spec) pairs, in the order the block applies them."""
+    mbconv, downsample, svga or head), and its convs as (name, spec) pairs,
+    in the order the block applies them. A conv's parameters are named
+    "{prefix}.{name}", or "{prefix}" alone when the name is empty."""
 
     name: str
     kind: str
@@ -155,40 +150,32 @@ def build_model(cfg: VariantConfig, seed: int = 0, *, skeleton: bool = False) ->
         draw = partial(np.zeros, dtype=np.float32)
     else:
         draw = partial(_trunc_normal, np.random.default_rng(seed))
-    blocks = []
-    for layer in layer_plan(cfg):
-        p = [_init_conv_bn(draw, spec) for _, spec in layer.convs]
-        if layer.kind == "stem":
-            blocks.append(p)
-        elif layer.kind == "mbconv":
-            blocks.append(MbconvWeights(*p))
-        elif layer.kind == "svga":
-            blocks.append(block_weights(p, cfg.k))
-        else:  # downsample, head
-            blocks.append(p[0])
+    blocks = [tuple(_init_conv_bn(draw, spec) for _, spec in layer.convs)
+              for layer in layer_plan(cfg)]
     head_weight = draw((cfg.num_classes, cfg.head_hidden))
     head_bias = np.zeros(cfg.num_classes, dtype=np.float32)
     return ModelWeights(cfg.name, blocks, head_weight, head_bias)
 
 
-def mbconv_forward(x: Array, w: MbconvWeights) -> Array:
-    t = gelu(conv_bn(x, w.expand))
-    t = gelu(conv_bn(t, w.depthwise))
-    t = conv_bn(t, w.project)
+def mbconv_forward(x: Array, w: tuple[ConvBn, ...]) -> Array:
+    expand, depthwise, project = w
+    t = gelu(conv_bn(x, expand))
+    t = gelu(conv_bn(t, depthwise))
+    t = conv_bn(t, project)
     return elem_add(t, x)
 
 
-def stem_forward(x: Array, stem: list[ConvBn]) -> Array:
+def stem_forward(x: Array, stem: tuple[ConvBn, ...]) -> Array:
     _require(x.shape[2] % 4 == 0 and x.shape[3] % 4 == 0,
              f"stem needs spatial dims divisible by 4, got {x.shape[2]}x{x.shape[3]}")
     t = gelu(conv_bn(x, stem[0]))
     return gelu(conv_bn(t, stem[1]))
 
 
-def downsample_forward(x: Array, w: ConvBn) -> Array:
+def downsample_forward(x: Array, w: tuple[ConvBn, ...]) -> Array:
     _require(x.shape[2] >= 2 and x.shape[3] >= 2,
              "downsample needs spatial dims >= 2")
-    return conv_bn(x, w)
+    return conv_bn(x, *w)
 
 
 def model_forward_with_stages(x: Array, weights: ModelWeights,
@@ -215,9 +202,9 @@ def model_forward_with_stages(x: Array, weights: ModelWeights,
         elif layer.kind == "downsample":
             t = downsample_forward(t, block)
         elif layer.kind == "svga":
-            t = svga_block_forward(t, block)
+            t = svga_block_forward(t, block, cfg.k)
         else:
-            t = gelu(conv_bn(t, block))
+            t = gelu(conv_bn(t, *block))
     pooled = global_avg_pool(t)
     logits = linear(pooled, weights.head_weight, weights.head_bias)
     return logits, stage_outputs
@@ -236,20 +223,12 @@ def _conv_bn_entries(prefix: str, p: ConvBn):
     yield prefix + ".bn.var", p.var
 
 
-def _conv_at(block, path: str) -> ConvBn:
-    # path parts are attribute names, or list indices for the stem's convs
-    for part in filter(None, path.split(".")):
-        block = block[int(part)] if part.isdigit() else getattr(block, part)
-    return block
-
-
 def named_params(w: ModelWeights):
     """All parameter arrays with unique names, in deterministic order."""
     plan = layer_plan(get_variant(w.variant))
     for layer, block in zip(plan, w.blocks, strict=True):
-        for path, _ in layer.convs:
-            prefix = f"{layer.name}.{path}" if path else layer.name
-            yield from _conv_bn_entries(prefix, _conv_at(block, path))
+        for (name, _), p in zip(layer.convs, block, strict=True):
+            yield from _conv_bn_entries(f"{layer.name}.{name}" if name else layer.name, p)
     yield "head.fc.weight", w.head_weight
     yield "head.fc.bias", w.head_bias
 

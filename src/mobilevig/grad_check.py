@@ -19,17 +19,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import attrgetter
 
 import numpy as np
 
-from .svga import (
-    SvgaBlockWeights,
-    block_convs,
-    block_weights,
-    fold_shifts,
-    svga_block_forward,
-)
+from .svga import block_convs, fold_shifts, svga_block_forward
 from .tensor_core import Array, ConvBn, ConvSpec, conv2d, conv_bn, gelu, gelu_grad, roll_2d
 
 
@@ -112,41 +105,44 @@ def _act_backward(g: Array, name: str, tape: _Tape, identity: bool) -> Array:
     return g * gelu_grad(tape.act_pre[name])
 
 
-def _forward_tape(x: Array, w: SvgaBlockWeights, identity_act: bool) -> tuple[Array, _Tape]:
+def _forward_tape(x: Array, w: tuple[ConvBn, ...], k: int,
+                  identity_act: bool) -> tuple[Array, _Tape]:
     tape = _Tape()
     c = x.shape[1]
-    t1 = _conv_bn_tape(x, w.grapher.w_in, "grapher.w_in", tape)
-    xj = _aggregate_tape(t1, w.k, tape)
+    w_in, proj, w_out, w1, w2 = w
+    t1 = _conv_bn_tape(x, w_in, "grapher.w_in", tape)
+    xj = _aggregate_tape(t1, k, tape)
     cat = np.concatenate([t1, xj], axis=1)
-    t3 = _conv_bn_tape(cat, w.grapher.proj, "grapher.proj", tape)
+    t3 = _conv_bn_tape(cat, proj, "grapher.proj", tape)
     t4 = _act_tape(t3, "grapher", tape, identity_act)
-    t6 = _conv_bn_tape(t4, w.grapher.w_out, "grapher.w_out", tape)
+    t6 = _conv_bn_tape(t4, w_out, "grapher.w_out", tape)
     y = t6 + x
-    u1 = _conv_bn_tape(y, w.ffn.w1, "ffn.w1", tape)
+    u1 = _conv_bn_tape(y, w1, "ffn.w1", tape)
     u2 = _act_tape(u1, "ffn", tape, identity_act)
-    u4 = _conv_bn_tape(u2, w.ffn.w2, "ffn.w2", tape)
+    u4 = _conv_bn_tape(u2, w2, "ffn.w2", tape)
     z = u4 + y
     assert cat.shape[1] == 2 * c
     return z, tape
 
 
-def _backward_tape(tape: _Tape, w: SvgaBlockWeights, identity_act: bool,
+def _backward_tape(tape: _Tape, w: tuple[ConvBn, ...], identity_act: bool,
                    g_z: Array) -> dict[str, Array]:
     grads: dict[str, Array] = {}
     c = g_z.shape[1]
+    w_in, proj, w_out, w1, w2 = w
     g_y = g_z.copy()
-    g_u2 = _conv_bn_backward(g_z, w.ffn.w2, "ffn.w2", tape, grads)
+    g_u2 = _conv_bn_backward(g_z, w2, "ffn.w2", tape, grads)
     g_u1 = _act_backward(g_u2, "ffn", tape, identity_act)
-    g_y += _conv_bn_backward(g_u1, w.ffn.w1, "ffn.w1", tape, grads)
+    g_y += _conv_bn_backward(g_u1, w1, "ffn.w1", tape, grads)
 
     g_x = g_y.copy()
-    g_t4 = _conv_bn_backward(g_y, w.grapher.w_out, "grapher.w_out", tape, grads)
+    g_t4 = _conv_bn_backward(g_y, w_out, "grapher.w_out", tape, grads)
     g_t3 = _act_backward(g_t4, "grapher", tape, identity_act)
-    g_cat = _conv_bn_backward(g_t3, w.grapher.proj, "grapher.proj", tape, grads)
+    g_cat = _conv_bn_backward(g_t3, proj, "grapher.proj", tape, grads)
     g_t1 = g_cat[:, :c]
     g_xj = g_cat[:, c:]
     g_t1 = g_t1 + _aggregate_backward(g_xj, tape)
-    g_x += _conv_bn_backward(g_t1, w.grapher.w_in, "grapher.w_in", tape, grads)
+    g_x += _conv_bn_backward(g_t1, w_in, "grapher.w_in", tape, grads)
     grads["x"] = g_x
     return grads
 
@@ -183,16 +179,17 @@ def _exact_conv_bn(x: _Exact, p: ConvBn) -> _Exact:
     return _exact_add((pre[0] * scale[0], pre[1] + scale[1]), per_channel(p.beta))
 
 
-def _exact_identity_loss(x: Array, w: SvgaBlockWeights) -> Fraction:
+def _exact_identity_loss(x: Array, w: tuple[ConvBn, ...], k: int) -> Fraction:
     """sum(block(x)) with identity activations, without rounding."""
+    w_in, proj, w_out, w1, w2 = w
     xe = _exact(x)
-    t1 = _exact_conv_bn(xe, w.grapher.w_in)
+    t1 = _exact_conv_bn(xe, w_in)
     xj = np.zeros_like(t1[0])
-    for down, right in fold_shifts(x.shape[2], x.shape[3], w.k):
+    for down, right in fold_shifts(x.shape[2], x.shape[3], k):
         xj = np.maximum(t1[0] - roll_2d(t1[0], down, right), xj)
-    t3 = _exact_conv_bn((np.concatenate([t1[0], xj], axis=1), t1[1]), w.grapher.proj)
-    y = _exact_add(_exact_conv_bn(t3, w.grapher.w_out), xe)
-    z = _exact_add(_exact_conv_bn(_exact_conv_bn(y, w.ffn.w1), w.ffn.w2), y)
+    t3 = _exact_conv_bn((np.concatenate([t1[0], xj], axis=1), t1[1]), proj)
+    y = _exact_add(_exact_conv_bn(t3, w_out), xe)
+    z = _exact_add(_exact_conv_bn(_exact_conv_bn(y, w1), w2), y)
     return Fraction(int(z[0].sum()), 1 << z[1])
 
 
@@ -210,20 +207,19 @@ def random_conv_bn(rng: np.random.Generator, in_c: int, out_c: int, dtype) -> Co
     )
 
 
-def random_block_weights(c: int, k: int, rng: np.random.Generator,
-                         ffn_ratio: int = 4, dtype=np.float64) -> SvgaBlockWeights:
-    """Random SVGA block weights (float64 default, as the checker needs),
-    drawn conv by conv in block_convs order."""
-    return block_weights([random_conv_bn(rng, spec.in_channels, spec.out_channels, dtype)
-                          for _, spec in block_convs(c, ffn_ratio)], k)
+def random_block_weights(c: int, rng: np.random.Generator, ffn_ratio: int = 4,
+                         dtype=np.float64) -> tuple[ConvBn, ...]:
+    """Random SVGA block weights (float64 default, as the checker needs): the
+    tuple of the block's ConvBns, drawn conv by conv in block_convs order."""
+    return tuple(random_conv_bn(rng, spec.in_channels, spec.out_channels, dtype)
+                 for _, spec in block_convs(c, ffn_ratio))
 
 
-def _named_weight_arrays(w: SvgaBlockWeights) -> list[tuple[str, Array]]:
+def _named_weight_arrays(w: tuple[ConvBn, ...]) -> list[tuple[str, Array]]:
     out = []
-    for path, _ in block_convs(1, 1):  # paths only; they are the same at every width
-        cb = attrgetter(path)(w)
-        out += [(path + ".weight", cb.weight), (path + ".bias", cb.bias),
-                (path + ".gamma", cb.gamma), (path + ".beta", cb.beta)]
+    for (name, _), cb in zip(block_convs(1, 1), w, strict=True):  # names are width-free
+        out += [(name + ".weight", cb.weight), (name + ".bias", cb.bias),
+                (name + ".gamma", cb.gamma), (name + ".beta", cb.beta)]
     return out
 
 
@@ -248,16 +244,16 @@ def grad_check_svga(shape: tuple[int, int, int, int] = (1, 4, 4, 4), k: int = 2,
         raise ValueError("gradient check limited to <= 4096 elements")
     for attempt in range(MAX_RESAMPLES):
         rng = np.random.default_rng([seed, attempt])
-        weights = random_block_weights(c, k, rng)
+        weights = random_block_weights(c, rng)
         x = rng.normal(size=shape)
-        z, tape = _forward_tape(x, weights, identity_act)
+        z, tape = _forward_tape(x, weights, k, identity_act)
         z_finite = bool(np.all(np.isfinite(z)))
         if z_finite and tape.min_tie_gap < TIE_MARGIN:
             continue
         if z_finite and not identity_act and tape.min_act_abs < TIE_MARGIN:
             continue
         if z_finite and not identity_act:
-            ref = svga_block_forward(x, weights)
+            ref = svga_block_forward(x, weights, k)
             if not np.array_equal(z, ref):
                 raise GradCheckError("tape forward diverged from block forward")
         grads = _backward_tape(tape, weights, identity_act, np.ones_like(z))
@@ -267,8 +263,8 @@ def grad_check_svga(shape: tuple[int, int, int, int] = (1, 4, 4, 4), k: int = 2,
 
         def loss() -> Fraction | np.floating:
             if identity_act:
-                return _exact_identity_loss(x, weights)
-            return np.sum(svga_block_forward(x, weights))
+                return _exact_identity_loss(x, weights, k)
+            return np.sum(svga_block_forward(x, weights, k))
 
         max_rel = 0.0
         for name, arr in [("x", x)] + _named_weight_arrays(weights):

@@ -167,34 +167,11 @@ def mrconv_gather_oracle(x: Array, graph: FixedGraph, proj: ConvBn) -> Array:
     return mrconv_project(x, gather_aggregate(x, graph), proj)
 
 
-@dataclass
-class GrapherWeights:
-    """Pointwise in-projection, max-relative step, pointwise out-projection.
-    The residual is the raw block input."""
-
-    w_in: ConvBn
-    proj: ConvBn
-    w_out: ConvBn
-
-
-@dataclass
-class FfnWeights:
-    """Two pointwise layers with a GeLU between."""
-
-    w1: ConvBn
-    w2: ConvBn
-
-
-@dataclass
-class SvgaBlockWeights:
-    grapher: GrapherWeights
-    ffn: FfnWeights
-    k: int
-
-
 def block_convs(c: int, ffn_ratio: int) -> tuple[tuple[str, ConvSpec], ...]:
-    """The convs of an SVGA block of width c, as (path inside
-    SvgaBlockWeights, spec) pairs in the order the block applies them."""
+    """The convs of an SVGA block of width c, as (name, spec) pairs in the
+    order the block applies them: the Grapher's w_in, proj and w_out, then
+    the FFN's w1 and w2. A block's weights are the tuple of its ConvBns in
+    this order."""
     return (
         ("grapher.w_in", ConvSpec(c, c, (1, 1))),
         ("grapher.proj", ConvSpec(2 * c, 2 * c, (1, 1))),
@@ -204,26 +181,26 @@ def block_convs(c: int, ffn_ratio: int) -> tuple[tuple[str, ConvSpec], ...]:
     )
 
 
-def block_weights(convs: list[ConvBn], k: int) -> SvgaBlockWeights:
-    """SvgaBlockWeights from its ConvBns, given in block_convs order."""
-    return SvgaBlockWeights(grapher=GrapherWeights(*convs[:3]),
-                            ffn=FfnWeights(*convs[3:]), k=k)
-
-
-def grapher_forward(x: Array, weights: GrapherWeights, k: int) -> Array:
-    t = conv_bn(x, weights.w_in)
-    t = mrconv_roll(t, k, weights.proj)
+def grapher_forward(x: Array, convs: tuple[ConvBn, ...], k: int) -> Array:
+    """Pointwise in-projection, max-relative step, pointwise out-projection.
+    The residual is the raw block input."""
+    w_in, proj, w_out = convs
+    t = conv_bn(x, w_in)
+    t = mrconv_roll(t, k, proj)
     t = gelu(t)
-    t = conv_bn(t, weights.w_out)
+    t = conv_bn(t, w_out)
     return elem_add(t, x)
 
 
-def ffn_forward(x: Array, weights: FfnWeights) -> Array:
-    t = conv_bn(x, weights.w1)
+def ffn_forward(x: Array, convs: tuple[ConvBn, ...]) -> Array:
+    """Two pointwise layers with a GeLU between."""
+    w1, w2 = convs
+    t = conv_bn(x, w1)
     t = gelu(t)
-    t = conv_bn(t, weights.w2)
+    t = conv_bn(t, w2)
     return elem_add(t, x)
 
 
-def svga_block_forward(x: Array, weights: SvgaBlockWeights) -> Array:
-    return ffn_forward(grapher_forward(x, weights.grapher, weights.k), weights.ffn)
+def svga_block_forward(x: Array, convs: tuple[ConvBn, ...], k: int) -> Array:
+    """One SVGA block: its five ConvBns in block_convs order, stride k."""
+    return ffn_forward(grapher_forward(x, convs[:3], k), convs[3:])

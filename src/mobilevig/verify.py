@@ -26,6 +26,7 @@ ORACLE_IMAGES = 100
 EQUIVARIANCE_GRIDS = ((8, 8), (7, 7))
 EQUIVARIANCE_SEEDS = 20
 EQUIVARIANCE_CHANNELS = 16
+EQUIVARIANCE_K = 2
 
 GRAD_TOL = 1e-4
 GRAD_LINEAR_TOL = 1e-8
@@ -109,10 +110,10 @@ def run_equivariance_suite(seed: int = 0,
     for h, w in EQUIVARIANCE_GRIDS:
         for s in range(weight_seeds):
             rng = np.random.default_rng([seed, h, w, s])
-            weights = random_block_weights(c, 2, rng, dtype=np.float32)
+            weights = random_block_weights(c, rng, dtype=np.float32)
             x = rng.standard_normal((1, c, h, w)).astype(np.float32)
-            base = svga_block_forward(x, weights)
-            lhs = svga_block_forward(_all_rolls(x), weights)
+            base = svga_block_forward(x, weights, EQUIVARIANCE_K)
+            lhs = svga_block_forward(_all_rolls(x), weights, EQUIVARIANCE_K)
             rhs = _all_rolls(base)
             checked += h * w
             bad = np.flatnonzero((lhs != rhs).reshape(h * w, -1).any(axis=1))
@@ -209,20 +210,24 @@ def run_knn_suite(seed: int = 0, seeds: int = KNN_SEEDS) -> PropertyResult:
                 "knn-fixed-adjacency", False,
                 f"adjacency path diverged from gather oracle at {h}x{w} k={k}", ce)
 
-    ratio = _knn_cost_ratio(seed)
+    small_ns, big_ns = _knn_cost_medians_ns(seed)
+    ratio = big_ns / small_ns
     if ratio <= 3.0:
+        small_ms, big_ms = small_ns / 1e6, big_ns / 1e6
         return PropertyResult(
             "knn-cost-growth", False,
-            f"14x14 vs 7x7 graph construction ratio {ratio:.2f} <= 3",
-            {"ratio": ratio, "seed": seed})
+            f"14x14 vs 7x7 graph construction ratio {ratio:.2f} <= 3 "
+            f"(medians {big_ms:.3f} ms vs {small_ms:.3f} ms)",
+            {"ratio": ratio, "median_7x7_ms": small_ms, "median_14x14_ms": big_ms,
+             "seed": seed})
     return PropertyResult(
         "knn-graph", True,
         f"{seeds} exact-reference cases exact; fixed-adjacency bitwise; "
         f"cost ratio {ratio:.1f}x")
 
 
-def _knn_cost_ratio(seed: int) -> float:
-    # median 14x14 time over median 7x7 time; the two sizes alternate, so a
+def _knn_cost_medians_ns(seed: int) -> tuple[int, int]:
+    # median 7x7 and 14x14 knn_graph times; the two sizes alternate, so a
     # burst of host load slows samples of both rather than all of one
     rng = np.random.default_rng([seed, 14])
     c = 16
@@ -235,8 +240,7 @@ def _knn_cost_ratio(seed: int) -> float:
     for _ in range(15):
         for step, times in zip(steps, samples):
             times.append(time_once_ns(step))
-    small_ns, big_ns = (percentiles_ns(times)[0] for times in samples)
-    return big_ns / small_ns
+    return tuple(percentiles_ns(times)[0] for times in samples)
 
 
 SUITES = {

@@ -8,7 +8,6 @@ from mobilevig.arch import (
     INIT_BOUND,
     INIT_STD,
     VARIANTS,
-    MbconvWeights,
     build_model,
     count_macs,
     count_params,
@@ -24,6 +23,7 @@ from mobilevig.arch import (
     _trunc_normal,
 )
 from mobilevig.tensor_core import ConvSpec, identity_conv_bn
+from mobilevig.weights_io import load_into_model, save_weights
 
 # Reference budget figures for the four variants (millions / billions).
 REFERENCE_PARAMS = {"Ti": 5.2e6, "S": 7.2e6, "M": 14.0e6, "B": 26.7e6}
@@ -86,7 +86,7 @@ def analytic_macs(cfg, size):
 @pytest.mark.parametrize("name", list(VARIANTS))
 def test_count_params_matches_analytic_plan(name):
     cfg = VARIANTS[name]
-    assert count_params(build_model(cfg, seed=0)) == analytic_params(cfg)
+    assert count_params(build_model(cfg, skeleton=True)) == analytic_params(cfg)
 
 
 @pytest.mark.parametrize("name", list(VARIANTS))
@@ -96,7 +96,7 @@ def test_count_macs_matches_analytic_plan(name):
 
 
 def test_frozen_totals():
-    got_p = {n: count_params(build_model(c, 0)) for n, c in VARIANTS.items()}
+    got_p = {n: count_params(build_model(c, skeleton=True)) for n, c in VARIANTS.items()}
     got_m = {n: count_macs(c, 224, 224) for n, c in VARIANTS.items()}
     assert got_p == {"Ti": 5401422, "S": 7406184, "M": 13663560, "B": 26470828}
     assert got_m == {"Ti": 674856320, "S": 996402944,
@@ -105,7 +105,7 @@ def test_frozen_totals():
 
 @pytest.mark.parametrize("name", list(VARIANTS))
 def test_params_within_reference_budget(name):
-    p = count_params(build_model(VARIANTS[name], 0))
+    p = count_params(build_model(VARIANTS[name], skeleton=True))
     assert abs(p - REFERENCE_PARAMS[name]) <= 0.10 * REFERENCE_PARAMS[name]
 
 
@@ -116,7 +116,7 @@ def test_macs_within_reference_budget(name):
 
 
 def test_params_monotone_across_variants():
-    p = [count_params(build_model(VARIANTS[n], 0)) for n in ("Ti", "S", "M", "B")]
+    p = [count_params(build_model(VARIANTS[n], skeleton=True)) for n in ("Ti", "S", "M", "B")]
     assert p == sorted(p) and len(set(p)) == 4
 
 
@@ -128,7 +128,9 @@ def test_macs_scale_quadratically_with_resolution():
 
 def test_count_params_seed_independent():
     cfg = VARIANTS["Ti"]
-    assert count_params(build_model(cfg, 0)) == count_params(build_model(cfg, 99))
+    n = count_params(build_model(cfg, 0))
+    assert n == count_params(build_model(cfg, 99))
+    assert n == count_params(build_model(cfg, skeleton=True))
 
 
 # ------------------------------------------------------------ block forwards
@@ -139,10 +141,10 @@ def _zero_mbconv(c, expansion=4):
     def zcb(spec):
         return identity_conv_bn(spec, np.zeros(spec.weight_shape(), np.float32))
 
-    return MbconvWeights(
-        expand=zcb(ConvSpec(c, hid, (1, 1))),
-        depthwise=zcb(ConvSpec(hid, hid, (3, 3), 1, 1, groups=hid)),
-        project=zcb(ConvSpec(hid, c, (1, 1))),
+    return (
+        zcb(ConvSpec(c, hid, (1, 1))),                      # expand
+        zcb(ConvSpec(hid, hid, (3, 3), 1, 1, groups=hid)),  # depthwise
+        zcb(ConvSpec(hid, c, (1, 1))),                      # project
     )
 
 
@@ -163,10 +165,10 @@ def test_mbconv_single_pixel_scalar_chain():
     def ones_cb(spec):
         return identity_conv_bn(spec, np.ones(spec.weight_shape(), np.float32))
 
-    w = MbconvWeights(
-        expand=ones_cb(ConvSpec(1, 4, (1, 1))),
-        depthwise=ones_cb(ConvSpec(4, 4, (3, 3), 1, 1, groups=4)),
-        project=ones_cb(ConvSpec(4, 1, (1, 1))),
+    w = (
+        ones_cb(ConvSpec(1, 4, (1, 1))),                  # expand
+        ones_cb(ConvSpec(4, 4, (3, 3), 1, 1, groups=4)),  # depthwise
+        ones_cb(ConvSpec(4, 1, (1, 1))),                  # project
     )
 
     def g(v):
@@ -234,21 +236,41 @@ def test_build_model_init_statistics():
             assert arr.dtype == np.float32
 
 
+def _block_specs(block):
+    assert isinstance(block, tuple)
+    return [p.spec for p in block]
+
+
+@pytest.mark.parametrize("name", list(VARIANTS))
+def test_blocks_are_conv_bn_tuples_in_plan_order(tmp_path, name):
+    # each block is the tuple of its plan entry's ConvBns, in the order of
+    # the entry's convs, whether drawn, a skeleton or loaded from a file
+    cfg = VARIANTS[name]
+    want = [[spec for _, spec in layer.convs] for layer in layer_plan(cfg)]
+    built = build_model(cfg, 0)
+    path = tmp_path / "w.mvig"
+    save_weights(str(path), built)
+    for model in (built, build_model(cfg, skeleton=True), load_into_model(str(path), cfg)):
+        assert [_block_specs(block) for block in model.blocks] == want
+
+
 @pytest.mark.parametrize("name", list(VARIANTS))
 def test_layer_plan_matches_forward(monkeypatch, name):
     # the forward takes its block kinds from the plan; this checks that each
     # block is looked up as a module global at call time (the benchmark's
-    # tracer patches those names) and gives the output shape layer_shapes
-    # predicts, and that the stage maps are the maps entering each
-    # downsample and the head
+    # tracer patches those names), is given its own plan entry's weights and
+    # gives the output shape layer_shapes predicts, and that the stage maps
+    # are the maps entering each downsample and the head
     cfg = VARIANTS[name]
     w = build_model(cfg, 0)
     seen = []
+    seen_weights = []
 
     def recorder(kind, fn):
-        def record(x, p):
-            out = fn(x, p)
+        def record(x, p, *rest):
+            out = fn(x, p, *rest)
             seen.append((kind, out.shape))
+            seen_weights.append(p)
             return out
         return record
 
@@ -260,6 +282,8 @@ def test_layer_plan_matches_forward(monkeypatch, name):
     out_shapes = [(1, layer.convs[-1][1].out_channels, *hw) for layer, _, hw in shapes]
     assert seen == [(layer.kind, out) for (layer, _, _), out in zip(shapes, out_shapes)
                     if layer.kind != "head"]
+    # every block but the head (the last entry) was given its own weights
+    assert [id(p) for p in seen_weights] == [id(block) for block in w.blocks[:-1]]
     entering = [i - 1 for i, (layer, _, _) in enumerate(shapes)
                 if layer.kind in ("downsample", "head")]
     assert [shapes[i][0].kind for i in entering] == ["mbconv"] * 3 + ["svga"]

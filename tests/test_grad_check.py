@@ -3,7 +3,7 @@ import pytest
 
 import mobilevig.grad_check as gc
 from mobilevig.grad_check import GradCheckError, grad_check_svga, random_block_weights
-from mobilevig.svga import svga_block_forward
+from mobilevig.svga import block_convs, svga_block_forward
 from mobilevig.verify import GRAD_LINEAR_TOL
 
 
@@ -37,14 +37,20 @@ def test_linear_subnetwork_seed_11_within_suite_tolerance():
 
 def test_exact_identity_loss_matches_float_forward():
     rng = np.random.default_rng(5)
-    w = random_block_weights(4, 2, rng)
+    w = random_block_weights(4, rng)
     x = rng.normal(size=(1, 4, 5, 3))
-    z, _ = gc._forward_tape(x, w, identity_act=True)
-    exact = gc._exact_identity_loss(x, w)
+    z, _ = gc._forward_tape(x, w, 2, identity_act=True)
+    exact = gc._exact_identity_loss(x, w, 2)
     assert float(exact) == pytest.approx(float(np.sum(z)), rel=1e-12)
     # exact: a change far below float64 resolution of the loss still shows
     x[0, 1, 2, 0] += 2.0 ** -40
-    assert gc._exact_identity_loss(x, w) != exact
+    assert gc._exact_identity_loss(x, w, 2) != exact
+
+
+def test_random_block_weights_follow_block_convs():
+    w = random_block_weights(6, np.random.default_rng(0))
+    assert isinstance(w, tuple)
+    assert [p.spec for p in w] == [spec for _, spec in block_convs(6, 4)]
 
 
 def test_element_budget_enforced():
@@ -55,20 +61,20 @@ def test_element_budget_enforced():
 def test_gradients_block_diagonal_in_batch():
     # perturbing batch element 0 never moves outputs of batch element 1
     rng = np.random.default_rng(3)
-    w = random_block_weights(3, 2, rng)
+    w = random_block_weights(3, rng)
     x = rng.normal(size=(2, 3, 4, 4))
-    base = svga_block_forward(x, w)
+    base = svga_block_forward(x, w, 2)
     bumped = x.copy()
     bumped[0, 1, 2, 3] += 0.25
-    out = svga_block_forward(bumped, w)
+    out = svga_block_forward(bumped, w, 2)
     assert np.array_equal(out[1], base[1])
     assert not np.array_equal(out[0], base[0])
 
 
 def test_nonfinite_gradient_names_parameter(monkeypatch):
-    def poisoned(c, k, rng, ffn_ratio=4, dtype=np.float64):
-        w = random_block_weights(c, k, rng, ffn_ratio, dtype)
-        w.grapher.w_in.weight[0, 0, 0, 0] = np.nan
+    def poisoned(c, rng, ffn_ratio=4, dtype=np.float64):
+        w = random_block_weights(c, rng, ffn_ratio, dtype)
+        w[0].weight[0, 0, 0, 0] = np.nan  # grapher.w_in
         return w
 
     monkeypatch.setattr(gc, "random_block_weights", poisoned)

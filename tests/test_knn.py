@@ -12,7 +12,7 @@ from mobilevig.knn import (
 )
 from mobilevig.svga import build_fixed_offsets, mrconv_gather_oracle
 from mobilevig.tensor_core import ConvSpec, concat_channels, conv_bn, identity_conv_bn
-from mobilevig.verify import _knn_cost_ratio, knn_exact_reference
+from mobilevig.verify import _knn_cost_medians_ns, knn_exact_reference
 
 
 def rand(shape, seed=0):
@@ -399,7 +399,8 @@ def test_aggregate_rejects_out_of_range_indices(bad):
 
 
 def test_graph_construction_cost_grows_superlinearly():
-    assert _knn_cost_ratio(seed=0) > 3.0
+    small_ns, big_ns = _knn_cost_medians_ns(seed=0)
+    assert big_ns / small_ns > 3.0
 
 
 def test_cost_ratio_alternates_graph_sizes(monkeypatch):
@@ -411,5 +412,20 @@ def test_cost_ratio_alternates_graph_sizes(monkeypatch):
         return knn_graph(x, k)
 
     monkeypatch.setattr(verify, "knn_graph", spy)
-    assert _knn_cost_ratio(seed=0) > 0
+    small_ns, big_ns = _knn_cost_medians_ns(seed=0)
+    assert big_ns / small_ns > 0
     assert shapes == [(7, 7), (14, 14)] * 16
+
+
+def test_cost_growth_failure_reports_both_medians(monkeypatch):
+    # 1 ms per 7x7 graph and 2 ms per 14x14 graph: ratio 2, under the bound
+    def fixed_time(step):
+        return {7: 1_000_000, 14: 2_000_000}[step.args[0].shape[2]]
+
+    monkeypatch.setattr(verify, "time_once_ns", fixed_time)
+    r = verify.run_knn_suite(seed=0, seeds=1)
+    assert (r.name, r.ok) == ("knn-cost-growth", False)
+    assert r.detail == ("14x14 vs 7x7 graph construction ratio 2.00 <= 3 "
+                        "(medians 2.000 ms vs 1.000 ms)")
+    assert r.counterexample == {"ratio": 2.0, "median_7x7_ms": 1.0,
+                                "median_14x14_ms": 2.0, "seed": 0}

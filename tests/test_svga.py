@@ -5,9 +5,7 @@ import pytest
 
 from mobilevig.grad_check import random_block_weights
 from mobilevig.svga import (
-    FfnWeights,
     block_convs,
-    block_weights,
     build_fixed_offsets,
     ffn_forward,
     fold_shifts,
@@ -32,9 +30,9 @@ def rand_proj(in_c, out_c, seed=0):
                             rng.standard_normal(out_c))
 
 
-def zero_block_weights(c, k, ffn_ratio=4):
-    return block_weights([identity_conv_bn(spec, np.zeros(spec.weight_shape(), np.float32))
-                          for _, spec in block_convs(c, ffn_ratio)], k)
+def zero_block_weights(c, ffn_ratio=4):
+    return tuple(identity_conv_bn(spec, np.zeros(spec.weight_shape(), np.float32))
+                 for _, spec in block_convs(c, ffn_ratio))
 
 
 # --------------------------------------------------------- fixed offsets
@@ -239,47 +237,48 @@ def test_oracle_rejects_wrong_grid():
 
 def test_grapher_zero_weights_is_identity():
     c = 6
-    w = zero_block_weights(c, 2)
+    w = zero_block_weights(c)
     x = rand((2, c, 5, 5), seed=11)
-    assert np.array_equal(grapher_forward(x, w.grapher, 2), x)
+    assert np.array_equal(grapher_forward(x, w[:3], 2), x)
 
 
 def test_grapher_preserves_shape():
     c = 8
     rng = np.random.default_rng(12)
-    w = random_block_weights(c, 2, rng, dtype=np.float32)
+    w = random_block_weights(c, rng, dtype=np.float32)
     x = rand((3, c, 7, 7), seed=13)
-    assert grapher_forward(x, w.grapher, 2).shape == x.shape
+    assert grapher_forward(x, w[:3], 2).shape == x.shape
 
 
 def test_grapher_translation_equivariant():
     c = 8
     rng = np.random.default_rng(14)
-    w = random_block_weights(c, 2, rng, dtype=np.float32)
+    w = random_block_weights(c, rng, dtype=np.float32)
     x = rand((1, c, 8, 8), seed=15)
-    base = grapher_forward(x, w.grapher, 2)
+    base = grapher_forward(x, w[:3], 2)
     for d, e in ((1, 0), (0, 3), (5, 2), (7, 7)):
-        lhs = grapher_forward(roll_2d(x, d, e), w.grapher, 2)
+        lhs = grapher_forward(roll_2d(x, d, e), w[:3], 2)
         assert np.array_equal(lhs, roll_2d(base, d, e))
 
 
 def test_ffn_zero_weights_is_identity():
-    w = zero_block_weights(4, 2)
+    w = zero_block_weights(4)
     x = rand((2, 4, 3, 3), seed=16)
-    assert np.array_equal(ffn_forward(x, w.ffn), x)
+    assert np.array_equal(ffn_forward(x, w[3:]), x)
 
 
 def test_ffn_hidden_width():
-    w = zero_block_weights(8, 2, ffn_ratio=4)
-    assert w.ffn.w1.spec.out_channels == 32
-    assert w.ffn.w2.spec.in_channels == 32
+    w = zero_block_weights(8, ffn_ratio=4)
+    w1, w2 = w[3:]
+    assert w1.spec.out_channels == 32
+    assert w2.spec.in_channels == 32
 
 
 def test_ffn_single_pixel_scalar_chain():
     # w1 = w2 = 1, identity BN: z = gelu(x) + x
     spec1 = ConvSpec(1, 1, (1, 1))
-    ffn = FfnWeights(w1=identity_conv_bn(spec1, np.ones((1, 1, 1, 1))),
-                     w2=identity_conv_bn(spec1, np.ones((1, 1, 1, 1))))
+    ffn = (identity_conv_bn(spec1, np.ones((1, 1, 1, 1))),   # w1
+           identity_conv_bn(spec1, np.ones((1, 1, 1, 1))))   # w2
     for val in (0.7, -1.3, 2.0):
         x = np.full((1, 1, 1, 1), val, np.float32)
         want = val * 0.5 * (1.0 + math.erf(val / math.sqrt(2.0))) + val
@@ -287,36 +286,36 @@ def test_ffn_single_pixel_scalar_chain():
 
 
 def test_block_zero_weights_is_identity():
-    w = zero_block_weights(5, 2)
+    w = zero_block_weights(5)
     x = rand((2, 5, 4, 6), seed=17)
-    assert np.array_equal(svga_block_forward(x, w), x)
+    assert np.array_equal(svga_block_forward(x, w, 2), x)
 
 
 def test_block_stage4_shape():
     c = 256
     rng = np.random.default_rng(18)
-    w = random_block_weights(c, 2, rng, dtype=np.float32)
+    w = random_block_weights(c, rng, dtype=np.float32)
     x = rand((1, c, 7, 7), seed=19)
-    assert svga_block_forward(x, w).shape == (1, c, 7, 7)
+    assert svga_block_forward(x, w, 2).shape == (1, c, 7, 7)
 
 
 def test_block_translation_equivariant():
     c = 8
     rng = np.random.default_rng(20)
-    w = random_block_weights(c, 2, rng, dtype=np.float32)
+    w = random_block_weights(c, rng, dtype=np.float32)
     x = rand((1, c, 7, 7), seed=21)
-    base = svga_block_forward(x, w)
+    base = svga_block_forward(x, w, 2)
     for d, e in ((1, 0), (3, 4), (6, 6), (0, 2)):
-        lhs = svga_block_forward(roll_2d(x, d, e), w)
+        lhs = svga_block_forward(roll_2d(x, d, e), w, 2)
         assert np.array_equal(lhs, roll_2d(base, d, e))
 
 
 def test_block_batch_independence():
     c = 6
     rng = np.random.default_rng(22)
-    w = random_block_weights(c, 2, rng, dtype=np.float32)
+    w = random_block_weights(c, rng, dtype=np.float32)
     x = rand((2, c, 8, 8), seed=23)
-    both = svga_block_forward(x, w)
-    first = svga_block_forward(x[:1], w)
-    second = svga_block_forward(x[1:], w)
+    both = svga_block_forward(x, w, 2)
+    first = svga_block_forward(x[:1], w, 2)
+    second = svga_block_forward(x[1:], w, 2)
     assert np.array_equal(both, np.concatenate([first, second], axis=0))

@@ -13,12 +13,13 @@ def _per_shift_counterexample(seed, weight_seeds):
     for h, w in verify.EQUIVARIANCE_GRIDS:
         for s in range(weight_seeds):
             rng = np.random.default_rng([seed, h, w, s])
-            weights = random_block_weights(c, 2, rng, dtype=np.float32)
+            weights = random_block_weights(c, rng, dtype=np.float32)
             x = rng.standard_normal((1, c, h, w)).astype(np.float32)
-            base = verify.svga_block_forward(x, weights)
+            base = verify.svga_block_forward(x, weights, verify.EQUIVARIANCE_K)
             for d in range(h):
                 for e in range(w):
-                    lhs = verify.svga_block_forward(roll_2d(x, d, e), weights)
+                    lhs = verify.svga_block_forward(roll_2d(x, d, e), weights,
+                                                    verify.EQUIVARIANCE_K)
                     rhs = roll_2d(base, d, e)
                     if not np.array_equal(lhs, rhs):
                         where = np.argwhere(lhs != rhs)
@@ -32,9 +33,9 @@ def _per_shift_counterexample(seed, weight_seeds):
 
 
 def test_equivariance_suite_reports_the_first_failing_shift(monkeypatch):
-    def pinned_pixel(x, weights):
+    def pinned_pixel(x, weights, k):
         # output pixel (0, 0, 0) also reads input pixel (1, 2, 3): not equivariant
-        out = svga_block_forward(x, weights)
+        out = svga_block_forward(x, weights, k)
         out[:, 0, 0, 0] += np.float32(1e-3) * x[:, 1, 2, 3]
         return out
 
@@ -48,8 +49,8 @@ def test_equivariance_suite_reports_the_first_failing_shift(monkeypatch):
 
 
 def test_equivariance_suite_fails_on_batch_position_dependence(monkeypatch):
-    def last_image_off(x, weights):
-        out = svga_block_forward(x, weights)
+    def last_image_off(x, weights, k):
+        out = svga_block_forward(x, weights, k)
         if out.shape[0] > 1:
             out[-1] += np.float32(1e-3)
         return out
