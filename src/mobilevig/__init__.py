@@ -2,33 +2,6 @@
 deterministic NCHW kernels, roll-based max-relative graph convolution with
 an explicit-gather oracle, the KNN-graph baseline it replaces, full model
 assembly with parameter/MAC accounting, and a verification/benchmark CLI.
-
-Submodules are imported lazily so the CLI can configure BLAS threading
-before numpy loads.
 """
 
 __version__ = "0.1.0"
-
-_SUBMODULES = (
-    "arch",
-    "bench",
-    "cli",
-    "grad_check",
-    "knn",
-    "svga",
-    "tensor_core",
-    "verify",
-    "weights_io",
-)
-
-
-def __getattr__(name):
-    if name in _SUBMODULES:
-        import importlib
-
-        return importlib.import_module(f".{name}", __name__)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(list(globals()) + list(_SUBMODULES))

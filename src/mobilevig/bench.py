@@ -9,7 +9,6 @@ be included symmetrically for both mechanisms.
 from __future__ import annotations
 
 import csv
-import ctypes
 import os
 import platform
 import subprocess
@@ -23,14 +22,10 @@ import numpy as np
 from .grad_check import random_conv_bn
 from .knn import knn_aggregate, knn_graph, mrconv_knn
 from .svga import mrconv_aggregate, mrconv_roll
+from .tensor_core import _openblas
 
 MIN_REPS = 30
 MIN_WARMUP = 5
-
-# thread-count getters across OpenBLAS builds (plain, 64-bit int, scipy's)
-_OPENBLAS_GET_THREADS = ("openblas_get_num_threads", "openblas_get_num_threads64_",
-                         "scipy_openblas_get_num_threads64_",
-                         "scipy_openblas_get_num_threads")
 
 
 @dataclass
@@ -65,33 +60,13 @@ class BenchReport:
                 writer.writerow(asdict(r))
 
 
-def _lines(path: str) -> list[str]:
-    try:
-        with open(path) as f:
-            return f.read().splitlines()
-    except OSError:  # no /proc on this platform
-        return []
-
-
-def _blas_in_force() -> list[dict]:
-    """The thread count each OpenBLAS mapped into this process reports,
-    asked through ctypes."""
-    paths = dict.fromkeys(line.split()[-1] for line in _lines("/proc/self/maps")
-                          if "openblas" in line.lower() and ".so" in line)
-    out = []
-    for path in paths:
-        lib = ctypes.CDLL(path)
-        getter = next((getattr(lib, s) for s in _OPENBLAS_GET_THREADS if hasattr(lib, s)),
-                      None)
-        if getter is not None:
-            getter.restype, getter.argtypes = ctypes.c_int, []
-        out.append({"library": os.path.basename(path),
-                    "threads": getter() if getter is not None else None})
-    return out
-
-
 def _cpu_model() -> str | None:
-    return next((line.split(":", 1)[1].strip() for line in _lines("/proc/cpuinfo")
+    try:
+        with open("/proc/cpuinfo") as f:
+            lines = f.read().splitlines()
+    except OSError:  # no /proc on this platform
+        return None
+    return next((line.split(":", 1)[1].strip() for line in lines
                  if line.startswith("model name")), None)
 
 
@@ -109,17 +84,16 @@ def _git_commit() -> str | None:
     return done.stdout.strip() if done.returncode == 0 else None
 
 
-def environment(threads: int) -> dict:
-    """The run's settings as they took effect: the requested thread count,
-    the BLAS numpy was built against and the thread count each loaded
-    OpenBLAS reports, the thread variables set in this process's
-    environment, the CPU model, the numpy and Python versions and the git
-    commit."""
+def environment() -> dict:
+    """The run's settings as they took effect: the BLAS numpy was built
+    against and the thread count each loaded OpenBLAS reports, the thread
+    variables set in this process's environment, the CPU model, the numpy
+    and Python versions and the git commit."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
-        "threads": threads,
         "blas": {"name": blas.get("name"), "version": blas.get("version")},
-        "blas_in_force": _blas_in_force(),
+        # the caller's setting, which the package's own GEMMs override
+        "blas_in_force": [{"library": name, "threads": get()} for name, get, _ in _openblas()],
         "thread_vars": {k: v for k, v in sorted(os.environ.items())
                         if k.endswith("_NUM_THREADS")},
         "cpu_model": _cpu_model(),
@@ -177,12 +151,11 @@ def time_aggregation(mechanism: str, h: int, w: int, c: int, k: int,
 
 def run_bench(mechanisms: list[str], h: int, w: int, c: int, svga_k: int = 2,
               knn_k: int = 9, batch: int = 1, reps: int = 100, warmup: int = 10,
-              include_projection: bool = False, seed: int = 0,
-              threads: int = 1) -> BenchReport:
+              include_projection: bool = False, seed: int = 0) -> BenchReport:
     records = []
     for mech in mechanisms:
         k = svga_k if mech == "svga" else knn_k
         records.append(time_aggregation(
             mech, h, w, c, k, batch=batch, reps=reps, warmup=warmup,
             include_projection=include_projection, seed=seed))
-    return BenchReport(records=records, env=environment(threads))
+    return BenchReport(records=records, env=environment())

@@ -1,9 +1,6 @@
 """Command-line surface: model description and counting, property
 verification, aggregation benchmarks, and deterministic forward passes with
 weight save/load.
-
-Heavy modules are imported inside the command handlers so the bench command
-can pin BLAS thread counts through the environment before numpy loads.
 """
 
 from __future__ import annotations
@@ -13,6 +10,14 @@ import json
 import os
 import sys
 import time
+
+import numpy as np
+
+from .arch import (build_model, count_macs, count_params, get_variant, layer_shapes,
+                   model_forward)
+from .bench import run_bench
+from .verify import SUITES, run_suites
+from .weights_io import load_into_model, save_weights
 
 
 def _positive_int(value: str) -> int:
@@ -81,7 +86,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", type=_positive_int, default=1)
     p.add_argument("--reps", type=_positive_int, default=100)
     p.add_argument("--warmup", type=_positive_int, default=10)
-    p.add_argument("--threads", type=_positive_int, default=1)
     p.add_argument("--include-projection", action="store_true")
     p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--json", dest="json_path")
@@ -102,8 +106,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_describe(args) -> int:
-    from .arch import build_model, count_macs, count_params, get_variant, layer_shapes
-
     cfg = get_variant(args.variant)
     size = args.size
     params = count_params(build_model(cfg, skeleton=True))
@@ -145,8 +147,6 @@ def _cmd_describe(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .verify import SUITES, run_suites
-
     names = list(SUITES) if args.suite == "all" else [args.suite]
     seed = args.seed if args.seed is not None else _default_seed()
     results = []
@@ -167,16 +167,13 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    from .bench import run_bench
-
     mechanisms = ["svga", "knn"] if args.mechanism == "both" else [args.mechanism]
     seed = args.seed if args.seed is not None else _default_seed()
     h, w = args.size
     report = run_bench(
         mechanisms, h, w, args.channels, svga_k=args.k, knn_k=args.knn_k,
         batch=args.batch, reps=args.reps, warmup=args.warmup,
-        include_projection=args.include_projection, seed=seed,
-        threads=args.threads)
+        include_projection=args.include_projection, seed=seed)
     print(f"{'mechanism':<10} {'h':>4} {'w':>4} {'c':>5} {'k':>3} {'batch':>5} "
           f"{'median':>12} {'p10':>12} {'p90':>12}")
     for r in report.records:
@@ -193,8 +190,6 @@ def _cmd_bench(args) -> int:
 def load_ppm(path: str):
     """Minimal binary PPM (P6, maxval 255) reader, to a (1, 3, h, w) float32
     tensor scaled to [0, 1]. Any malformed file raises ValueError naming it."""
-    import numpy as np
-
     with open(path, "rb") as f:
         data = f.read()
     if not data.startswith(b"P6"):
@@ -236,11 +231,6 @@ def load_ppm(path: str):
 
 
 def _cmd_forward(args) -> int:
-    import numpy as np
-
-    from .arch import get_variant, build_model, model_forward
-    from .weights_io import load_into_model, save_weights
-
     cfg = get_variant(args.variant)
     seed = args.seed if args.seed is not None else _default_seed()
     if args.input == "random":
@@ -291,36 +281,15 @@ _COMMANDS = {
 }
 
 
-_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-def _pin_threads(threads: int) -> dict[str, str | None]:
-    """Sets the BLAS thread variables to `threads` and returns their prior
-    values (None: unset)."""
-    prior = {var: os.environ.get(var) for var in _THREAD_VARS}
-    for var in _THREAD_VARS:
-        os.environ[var] = str(threads)
-    return prior
-
-
 def main(argv: list[str] | None = None) -> int:
-    # the parser imports no numpy, so bench pins its threads before numpy loads
     args = _build_parser().parse_args(argv)
-    prior = _pin_threads(args.threads) if args.command == "bench" else {}
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, OSError) as exc:
-        # bad input values and files that cannot be read or written
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        # bad input values, files that cannot be read or written, and inputs
+        # too large to allocate (numpy's MemoryError names the size)
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
-    finally:
-        # later child processes of an in-process caller get the thread
-        # counts it had
-        for var, value in prior.items():
-            if value is None:
-                os.environ.pop(var, None)
-            else:
-                os.environ[var] = value
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .svga import FixedGraph, mrconv_project
-from .tensor_core import Array, ConvBn, _require
+from .tensor_core import Array, ConvBn, _matmul, _require
 
 _U = 2.0 ** -53  # float64 unit roundoff
 # Each underflowing product or FMA loses at most 2^-1075; the certificate
@@ -132,7 +132,7 @@ def knn_graph(x: Array, k: int) -> KnnAdjacency:
         tol = _gram_tolerance(sq, c)
         certified = np.zeros(num, dtype=bool)
         if tol < np.inf:
-            g = f @ f.T
+            g = _matmul(f, f.T)
             g *= -2.0
             g += sq[:, None]
             g += sq[None, :]

@@ -48,9 +48,6 @@ class FixedGraph:
     row_offsets: tuple[int, ...]
     col_offsets: tuple[int, ...]
 
-    def neighbors_per_pixel(self) -> int:
-        return len(self.row_offsets) + len(self.col_offsets)
-
 
 def build_fixed_offsets(h: int, w: int, k: int) -> FixedGraph:
     """Offsets {m*k : m >= 1, m*k < bound} for each image axis."""

@@ -38,10 +38,25 @@ it and -0.0 below its negative.
 
 `conv_bn` folds inference batch norm into the conv weights and bias on every
 call, so a conv and its batch norm cost one pass over the output.
+
+Every BLAS call of the package (the dense conv's GEMMs, `linear` and
+`knn.knn_graph`'s Gram product) goes through `_matmul`, which sets each
+OpenBLAS mapped into the process to one thread for the call and puts
+back each library's count when it returns. A threaded OpenBLAS may split
+a long reduction differently, so without the pin a forward's bits would
+depend on the caller's thread count; with it they are the one-thread bits
+everywhere, and a caller at several threads loses them for these calls.
+The libraries are found once, through /proc/self/maps and ctypes. Limits:
+where numpy's BLAS is not OpenBLAS, or there is no /proc, nothing is
+pinned; and the pin is process-global while a GEMM runs, so concurrent
+calls from several Python threads are not supported (one call's restore
+can unpin another's GEMM).
 """
 
 from __future__ import annotations
 
+import ctypes
+import os
 from dataclasses import dataclass
 from functools import cache
 
@@ -158,6 +173,53 @@ def roll_2d(x: Array, down: int, right: int) -> Array:
     return np.roll(x, (down, right), axis=(2, 3))
 
 
+# the (prefix, suffix) of each OpenBLAS build's thread-count functions,
+# <prefix>_get_num_threads<suffix> and <prefix>_set_num_threads<suffix>:
+# plain, 64-bit int, and scipy's builds of both
+_OPENBLAS_NAMES = tuple((p, s) for p in ("openblas", "scipy_openblas") for s in ("", "64_"))
+
+
+@cache
+def _openblas() -> tuple[tuple[str, object, object], ...]:
+    """(file name, thread-count getter, setter) of each OpenBLAS mapped into
+    this process, looked up once; empty without /proc."""
+    try:
+        with open("/proc/self/maps") as f:
+            maps = f.read().splitlines()
+    except OSError:
+        return ()
+    paths = dict.fromkeys(line.split()[-1] for line in maps
+                          if "openblas" in line.lower() and ".so" in line)
+    found = []
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for prefix, suffix in _OPENBLAS_NAMES:
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                put.restype, put.argtypes = None, [ctypes.c_int]
+                found.append((os.path.basename(path), get, put))
+                break
+    return tuple(found)
+
+
+def _matmul(a: Array, b: Array, out: Array | None = None) -> Array:
+    """np.matmul with every OpenBLAS at one thread, each library's thread
+    count restored afterwards: the same bits whatever the caller's count."""
+    restore = []
+    for _, get, put in _openblas():
+        threads = get()
+        if threads != 1:
+            put(1)
+            restore.append((put, threads))
+    try:
+        return np.matmul(a, b, out=out)
+    finally:
+        for put, threads in restore:
+            put(threads)
+
+
 def _gemm_chunked(wmat: Array, cols: Array, out: Array) -> None:
     # out(n, oc, P) = wmat(oc, K) @ cols(n, K, P) as one GEMM per _CHUNK
     # columns of one image: the full chunks of all images in one batched
@@ -174,12 +236,12 @@ def _gemm_chunked(wmat: Array, cols: Array, out: Array) -> None:
         return
     full = p - p % _CHUNK
     if full:
-        np.matmul(wmat, cols[:, :, :full].reshape(n, k, -1, _CHUNK).transpose(0, 2, 1, 3),
-                  out=out[:, :, :full].reshape(n, oc, -1, _CHUNK).transpose(0, 2, 1, 3))
+        _matmul(wmat, cols[:, :, :full].reshape(n, k, -1, _CHUNK).transpose(0, 2, 1, 3),
+                out=out[:, :, :full].reshape(n, oc, -1, _CHUNK).transpose(0, 2, 1, 3))
     if full < p:
         pad = np.zeros((n, k, _CHUNK), dtype=cols.dtype)
         pad[:, :, :p - full] = cols[:, :, full:]
-        out[:, :, full:] = (wmat @ pad)[:, :, :p - full]
+        out[:, :, full:] = _matmul(wmat, pad)[:, :, :p - full]
 
 
 def _conv_dense(xp: Array, weight: Array, bias: Array, stride: int,
@@ -419,7 +481,7 @@ def linear(x: Array, weight: Array, bias: Array) -> Array:
     _require(bias.shape == (weight.shape[0],),
              f"bias shape {bias.shape} != ({weight.shape[0]},)")
     # one matvec per batch row, same rationale as the conv kernel
-    return np.matmul(weight, x[:, :, None])[:, :, 0] + bias
+    return _matmul(weight, x[:, :, None])[:, :, 0] + bias
 
 
 @dataclass
@@ -455,14 +517,3 @@ def conv_bn(x: Array, p: ConvBn) -> Array:
     bias = (np.asarray(p.bias, dt) - np.asarray(p.mean, dt)) * scale + np.asarray(p.beta, dt)
     return conv2d(x, p.spec, weight, bias)
 
-
-def identity_conv_bn(spec: ConvSpec, weight: Array, bias: Array | None = None,
-                     dtype=np.float32) -> ConvBn:
-    """ConvBn whose batch norm is the identity (eps folded to zero)."""
-    c = spec.out_channels
-    one = np.ones(c, dtype=dtype)
-    zero = np.zeros(c, dtype=dtype)
-    if bias is None:
-        bias = np.zeros(c, dtype=dtype)
-    return ConvBn(spec, np.asarray(weight, dtype=dtype), np.asarray(bias, dtype=dtype),
-                  gamma=one, beta=zero, mean=zero, var=one, eps=0.0)

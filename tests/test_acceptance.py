@@ -92,7 +92,7 @@ def test_criterion_7_benchmark_direction():
     ok = True
     for c in (256, 400):
         report = run_bench(["svga", "knn"], 14, 14, c, svga_k=2, knn_k=9,
-                           batch=1, reps=100, warmup=10, seed=0, threads=1)
+                           batch=1, reps=100, warmup=10, seed=0)
         by = {r.mechanism: r.median_ns for r in report.records}
         lines.append(f"c={c}: svga {by['svga'] / 1e6:.3f}ms vs knn {by['knn'] / 1e6:.3f}ms")
         if not by["svga"] < by["knn"]:

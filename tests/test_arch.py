@@ -22,8 +22,10 @@ from mobilevig.arch import (
     stem_forward,
     _trunc_normal,
 )
-from mobilevig.tensor_core import ConvSpec, identity_conv_bn
+from mobilevig.tensor_core import ConvSpec
 from mobilevig.weights_io import load_into_model, save_weights
+
+from helpers import identity_conv_bn
 
 # Reference budget figures for the four variants (millions / billions).
 REFERENCE_PARAMS = {"Ti": 5.2e6, "S": 7.2e6, "M": 14.0e6, "B": 26.7e6}

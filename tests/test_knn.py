@@ -11,8 +11,10 @@ from mobilevig.knn import (
     pairwise_sq_dists,
 )
 from mobilevig.svga import build_fixed_offsets, mrconv_gather_oracle
-from mobilevig.tensor_core import ConvSpec, concat_channels, conv_bn, identity_conv_bn
+from mobilevig.tensor_core import ConvSpec, concat_channels, conv_bn
 from mobilevig.verify import _knn_cost_medians_ns, knn_exact_reference
+
+from helpers import identity_conv_bn
 
 
 def rand(shape, seed=0):

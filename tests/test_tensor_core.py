@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -303,6 +304,66 @@ for spec, h, w in ((ConvSpec(256, 128, (1, 1)), 20, 19),
 print("ok")
 """, threads=2)
     assert out.strip() == "ok"
+
+
+_FORWARD_AND_KNN_BITS = """
+import hashlib
+import numpy as np
+from mobilevig.arch import VARIANTS, build_model, model_forward_with_stages
+from mobilevig.knn import knn_graph
+
+cfg = VARIANTS["Ti"]
+weights = build_model(cfg, 0)
+x = np.random.default_rng(3).standard_normal((2, 3, 64, 64))
+for dtype in (np.float32, np.float64):
+    logits, stages = model_forward_with_stages(x.astype(dtype), weights, cfg)
+    assert len(stages) == 4
+    for a in (logits, *stages):
+        print(hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest())
+f = np.random.default_rng(4).standard_normal((2, 256, 14, 14)).astype(np.float32)
+print(hashlib.sha256(knn_graph(f, 9).neighbor_idx.tobytes()).hexdigest())
+"""
+
+
+def test_forward_and_knn_bits_do_not_depend_on_blas_threads(run_with_blas_threads):
+    # a threaded OpenBLAS splits a long reduction differently (Ti's stage-3
+    # downsample GEMM reduces over 756 terms); the package's GEMMs run at one
+    # thread whatever the caller's count
+    one = run_with_blas_threads(_FORWARD_AND_KNN_BITS, threads=1).split()
+    two = run_with_blas_threads(_FORWARD_AND_KNN_BITS, threads=2).split()
+    assert len(one) == 11
+    assert one == two
+
+
+def test_blas_calls_restore_the_callers_thread_count(run_with_blas_threads):
+    out = run_with_blas_threads("""
+import json
+import numpy as np
+from mobilevig.arch import VARIANTS, build_model, model_forward
+from mobilevig.knn import knn_graph
+from mobilevig.tensor_core import _matmul, _openblas
+
+def counts():
+    return [get() for _, get, _ in _openblas()]
+
+seen = [counts()]
+cfg = VARIANTS["Ti"]
+x = np.random.default_rng(0).standard_normal((1, 3, 64, 64)).astype(np.float32)
+model_forward(x, build_model(cfg, 0), cfg)
+seen.append(counts())
+knn_graph(np.random.default_rng(1).standard_normal((1, 256, 14, 14)), 9)
+seen.append(counts())
+try:
+    _matmul(np.ones((2, 3)), np.ones((2, 3)))
+except ValueError:
+    seen.append(counts())
+print(json.dumps(seen))
+""", threads=2)
+    before, *after = json.loads(out)
+    if not before:
+        pytest.skip("no OpenBLAS in this process: nothing is pinned")
+    assert before == [2] * len(before)
+    assert after == [before] * 3
 
 
 def _random_conv_bn(spec, dtype, seed):
