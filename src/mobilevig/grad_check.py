@@ -11,7 +11,10 @@ The reference side is a central difference of the scalar loss sum(output).
 With identity activations the block is built from additions, products and
 max folds only, so that loss is evaluated exactly, on dyadic rationals
 (every float64 is one); the difference quotient then carries no rounding
-noise, however small the gradient entry.
+noise, however small the gradient entry. The operands are converted to
+exact form once per input, and each step converts again only the one it
+edits (x, or the ConvBn that holds the edited array). A NaN difference
+quotient or analytic entry gives a NaN error.
 """
 
 from __future__ import annotations
@@ -165,32 +168,64 @@ def _exact_add(a: _Exact, b: _Exact) -> _Exact:
     return a[0] * (1 << (s - a[1])) + b[0] * (1 << (s - b[1])), s
 
 
-def _exact_conv_bn(x: _Exact, p: ConvBn) -> _Exact:
-    # (W x + bias - mean) * scale + beta, with scale the float64 _bn_scale(p)
-    n, c, h, w = x[0].shape
-    wm, sw = _exact(p.weight[:, :, 0, 0])
-    pre = (np.matmul(wm, x[0].reshape(n, c, h * w)).reshape(n, -1, h, w), sw + x[1])
-
+def _exact_operands(p: ConvBn) -> tuple[_Exact, ...]:
+    """What _exact_conv_bn reads of p, exact: the weight matrix, then bias,
+    -mean, the float64 _bn_scale(p) and beta, each shaped (1, c, 1, 1)."""
     def per_channel(v: Array) -> _Exact:
         return _exact(v.reshape(1, -1, 1, 1))
 
-    pre = _exact_add(_exact_add(pre, per_channel(p.bias)), per_channel(-p.mean))
-    scale = per_channel(_bn_scale(p))
-    return _exact_add((pre[0] * scale[0], pre[1] + scale[1]), per_channel(p.beta))
+    return (_exact(p.weight[:, :, 0, 0]), per_channel(p.bias), per_channel(-p.mean),
+            per_channel(_bn_scale(p)), per_channel(p.beta))
 
 
-def _exact_identity_loss(x: Array, w: tuple[ConvBn, ...], k: int) -> Fraction:
-    """sum(block(x)) with identity activations, without rounding."""
-    w_in, proj, w_out, w1, w2 = w
-    xe = _exact(x)
+def _exact_conv_bn(x: _Exact, ops: tuple[_Exact, ...]) -> _Exact:
+    # (W x + bias - mean) * scale + beta, from _exact_operands of the ConvBn
+    (wm, sw), bias, neg_mean, scale, beta = ops
+    n, c, h, w = x[0].shape
+    pre = (np.matmul(wm, x[0].reshape(n, c, h * w)).reshape(n, -1, h, w), sw + x[1])
+    pre = _exact_add(_exact_add(pre, bias), neg_mean)
+    return _exact_add((pre[0] * scale[0], pre[1] + scale[1]), beta)
+
+
+def _exact_block_sum(xe: _Exact, ops: list[tuple[_Exact, ...]], k: int) -> Fraction:
+    w_in, proj, w_out, w1, w2 = ops
     t1 = _exact_conv_bn(xe, w_in)
     xj = np.zeros_like(t1[0])
-    for down, right in fold_shifts(x.shape[2], x.shape[3], k):
+    for down, right in fold_shifts(t1[0].shape[2], t1[0].shape[3], k):
         xj = np.maximum(t1[0] - roll_2d(t1[0], down, right), xj)
     t3 = _exact_conv_bn((np.concatenate([t1[0], xj], axis=1), t1[1]), proj)
     y = _exact_add(_exact_conv_bn(t3, w_out), xe)
     z = _exact_add(_exact_conv_bn(_exact_conv_bn(y, w1), w2), y)
     return Fraction(int(z[0].sum()), 1 << z[1])
+
+
+def _exact_identity_loss(x: Array, w: tuple[ConvBn, ...], k: int) -> Fraction:
+    """sum(block(x)) with identity activations, without rounding."""
+    return _exact_block_sum(_exact(x), [_exact_operands(p) for p in w], k)
+
+
+class _CachedExactLoss:
+    """_exact_identity_loss(x, w, k) with the exact operands converted once.
+
+    Calling it with the array just edited in place (x, or the weight, bias,
+    gamma or beta of one ConvBn) converts that array's owner again: x, or
+    the whole ConvBn, whose batch-norm scale a gamma edit also changes.
+    Every other array must hold the values it had at construction; the
+    cache itself is never updated, so restoring an edit needs no call."""
+
+    def __init__(self, x: Array, w: tuple[ConvBn, ...], k: int):
+        self.x, self.w, self.k = x, w, k
+        self.xe = _exact(x)
+        self.ops = [_exact_operands(p) for p in w]
+        self.owner = {id(a): i for i, p in enumerate(w)
+                      for a in (p.weight, p.bias, p.gamma, p.beta)}
+
+    def __call__(self, edited: Array) -> Fraction:
+        if edited is self.x:
+            return _exact_block_sum(_exact(edited), self.ops, self.k)
+        i = self.owner[id(edited)]
+        ops = self.ops[:i] + [_exact_operands(self.w[i])] + self.ops[i + 1:]
+        return _exact_block_sum(self.xe, ops, self.k)
 
 
 def random_conv_bn(rng: np.random.Generator, in_c: int, out_c: int, dtype) -> ConvBn:
@@ -261,25 +296,26 @@ def grad_check_svga(shape: tuple[int, int, int, int] = (1, 4, 4, 4), k: int = 2,
             if not np.all(np.isfinite(g)):
                 raise GradCheckError(f"non-finite gradient for {name}")
 
-        def loss() -> Fraction | np.floating:
-            if identity_act:
-                return _exact_identity_loss(x, weights, k)
+        exact = _CachedExactLoss(x, weights, k) if identity_act else None
+
+        def loss(edited: Array) -> Fraction | np.floating:
+            if exact is not None:
+                return exact(edited)
             return np.sum(svga_block_forward(x, weights, k))
 
-        max_rel = 0.0
+        rels = []
         for name, arr in [("x", x)] + _named_weight_arrays(weights):
             analytic = grads[name]
             for i in range(arr.size):
                 orig = arr.flat[i]
                 arr.flat[i] = orig + FD_STEP
-                lp = loss()
+                lp = loss(arr)
                 arr.flat[i] = orig - FD_STEP
-                lm = loss()
+                lm = loss(arr)
                 arr.flat[i] = orig
                 fd = float((lp - lm) / (2.0 * FD_STEP))
                 a = float(analytic.flat[i])
-                rel = abs(a - fd) / max(abs(a), abs(fd), 1e-6)
-                max_rel = max(max_rel, rel)
-        return max_rel
+                rels.append(abs(a - fd) / max(abs(a), abs(fd), 1e-6))
+        return float(np.max(rels))  # a NaN error stays NaN
     raise GradCheckError(
         f"no input free of near-ties found in {MAX_RESAMPLES} resamples")

@@ -7,6 +7,7 @@ failure can be reproduced directly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -15,7 +16,13 @@ import numpy as np
 from .bench import percentiles_ns, time_once_ns
 from .grad_check import grad_check_svga, random_block_weights, random_conv_bn
 from .knn import adjacency_from_fixed_graph, knn_graph, mrconv_knn
-from .svga import build_fixed_offsets, mrconv_gather_oracle, mrconv_roll, svga_block_forward
+from .svga import (
+    build_fixed_offsets,
+    gather_aggregate,
+    mrconv_aggregate,
+    mrconv_gather_oracle,
+    svga_block_forward,
+)
 from .tensor_core import Array
 
 ORACLE_DIMS = (1, 2, 4, 7, 8, 14)
@@ -43,36 +50,41 @@ class PropertyResult:
     counterexample: dict = field(default_factory=dict)
 
 
-def _first_mismatch(a: Array, b: Array) -> dict:
-    where = np.argwhere(a != b)
+def _first_mismatch(a: Array, b: Array, differ: Array | None = None) -> dict:
+    """The first index where a and b differ (by !=, or where the boolean
+    array differ is set), their values there and the number of mismatches."""
+    where = np.argwhere(a != b if differ is None else differ)
     idx = tuple(int(v) for v in where[0])
     return {"index": idx, "lhs": float(a[idx]), "rhs": float(b[idx]),
             "mismatches": int(where.shape[0])}
 
 
 def run_oracle_suite(seed: int = 0, seeds_per_case: int = ORACLE_IMAGES) -> PropertyResult:
-    """Roll-based aggregation vs explicit gather, bitwise, over a dim/k/c grid.
+    """Roll-based vs gather-based X_j, bit for bit, over a dim/k/c grid.
 
-    Each (h, w, k, c) case draws from one generator keyed
-    (seed, h, w, k, c): the projection first, then seeds_per_case images
-    in one (seeds_per_case, c, h, w) draw, so a smaller count sees the
-    first images of a larger one. seeds_per_case counts images, not
-    seeds. A counterexample's index[0] is the image within that draw."""
+    Each (h, w, k, c) case draws seeds_per_case images (a count of images,
+    not seeds) as the first draw of a generator keyed (seed, h, w, k, c),
+    so a smaller count sees the first images of a larger one.
+    mrconv_aggregate and gather_aggregate must give the same float32 bit
+    patterns, zero signs included; the projection that mrconv_roll and
+    mrconv_gather_oracle apply after them is one shared conv_bn call and
+    could only repeat this verdict. A counterexample's lhs and rhs are X_j
+    values at index (index[0] is the image), and mismatches counts the
+    differing bit patterns."""
     cases = 0
     for h in ORACLE_DIMS:
         for w in ORACLE_DIMS:
             for k in ORACLE_KS:
                 for c in ORACLE_CHANNELS:
-                    graph = build_fixed_offsets(h, w, k)
                     rng = np.random.default_rng([seed, h, w, k, c])
-                    proj = random_conv_bn(rng, 2 * c, c, np.float32)
                     x = rng.standard_normal((seeds_per_case, c, h, w)).astype(np.float32)
-                    got = mrconv_roll(x, k, proj)
-                    want = mrconv_gather_oracle(x, graph, proj)
+                    got = mrconv_aggregate(x, k)
+                    want = gather_aggregate(x, build_fixed_offsets(h, w, k))
                     cases += 1
-                    if not np.array_equal(got, want):
+                    differ = got.view(np.uint32) != want.view(np.uint32)
+                    if differ.any():
                         ce = {"h": h, "w": w, "k": k, "c": c, "seed": seed}
-                        ce.update(_first_mismatch(got, want))
+                        ce.update(_first_mismatch(got, want, differ))
                         return PropertyResult(
                             "oracle-equivalence", False,
                             f"mismatch at h={h} w={w} k={k} c={c}", ce)
@@ -139,12 +151,12 @@ def run_grad_suite(seed: int = 0) -> PropertyResult:
         results.append((f"full block {shape} k={k}", err, GRAD_TOL))
     lin_err = grad_check_svga((1, 4, 4, 4), 2, seed, identity_act=True)
     results.append(("linear subnet (identity activation)", lin_err, GRAD_LINEAR_TOL))
-    worst = max(results, key=lambda r: r[1] / r[2])
     detail = "; ".join(f"{name}: {err:.3g}" for name, err, _ in results)
-    if any(err >= tol for _, err, tol in results):
-        name, err, tol = worst
+    failing = [r for r in results if not r[1] < r[2]]  # a NaN error fails
+    if failing:
+        name, err, tol = max(failing, key=lambda r: math.inf if math.isnan(r[1]) else r[1] / r[2])
         return PropertyResult("gradient-check", False,
-                              f"{name} error {err:.3g} >= {tol:g}",
+                              f"{name} error {err:.3g}, not below {tol:g}",
                               {"case": name, "error": err, "tol": tol, "seed": seed})
     return PropertyResult("gradient-check", True, detail)
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import mobilevig.grad_check as gc
+from mobilevig import verify
 from mobilevig.grad_check import GradCheckError, grad_check_svga, random_block_weights
 from mobilevig.svga import block_convs, svga_block_forward
 from mobilevig.verify import GRAD_LINEAR_TOL
@@ -80,3 +81,38 @@ def test_nonfinite_gradient_names_parameter(monkeypatch):
     monkeypatch.setattr(gc, "random_block_weights", poisoned)
     with pytest.raises(GradCheckError, match="non-finite gradient for"):
         grad_check_svga((1, 2, 3, 3), k=2, seed=0, identity_act=True)
+
+
+def test_cached_exact_loss_equals_a_fresh_evaluation_after_each_edit():
+    rng = np.random.default_rng(7)
+    w = random_block_weights(3, rng)
+    x = rng.normal(size=(1, 3, 4, 3))
+    cached = gc._CachedExactLoss(x, w, 2)
+    w_in, proj, w_out, w1, w2 = w
+    for arr, i in ((x, 5), (proj.weight, 7), (w_out.bias, 1), (w1.gamma, 4), (w2.beta, 2)):
+        orig = arr.flat[i]
+        for v in (orig + gc.FD_STEP, orig):
+            arr.flat[i] = v
+            assert cached(arr) == gc._exact_identity_loss(x, w, 2)
+
+
+def test_nan_finite_difference_gives_a_nan_error(monkeypatch):
+    calls = []
+
+    def nan_after_first_call(x, w, k):
+        # the first call is the tape check; every loss evaluation gives NaN
+        out = svga_block_forward(x, w, k)
+        if calls:
+            out[0, 0, 0, 0] = np.nan
+        calls.append(1)
+        return out
+
+    monkeypatch.setattr(gc, "svga_block_forward", nan_after_first_call)
+    assert np.isnan(grad_check_svga((1, 2, 3, 3), k=2, seed=0))
+
+
+def test_grad_suite_fails_on_a_nan_error(monkeypatch):
+    monkeypatch.setattr(verify, "grad_check_svga", lambda *a, **kw: float("nan"))
+    r = verify.run_grad_suite(seed=0)
+    assert not r.ok
+    assert np.isnan(r.counterexample["error"])

@@ -2,7 +2,12 @@ import numpy as np
 
 from mobilevig import svga, verify
 from mobilevig.grad_check import random_block_weights
-from mobilevig.svga import mrconv_roll, svga_block_forward
+from mobilevig.svga import (
+    build_fixed_offsets,
+    gather_aggregate,
+    mrconv_aggregate,
+    svga_block_forward,
+)
 from mobilevig.tensor_core import roll_2d
 
 
@@ -69,16 +74,17 @@ def test_all_rolls_is_every_shift_in_row_major_order():
     assert np.array_equal(got, want)
 
 
-def test_oracle_suite_catches_a_window_one_shift_short(monkeypatch):
-    def short_window(x, axis, k, bufs):
-        # the min over shifts m*k for m < M - 1 only, M = ceil(L / k)
-        out = bufs[0]
-        out[...] = x
-        for m in range(1, -(-x.shape[axis] // k) - 1):
-            np.minimum(out, np.roll(x, m * k, axis=axis), out=out)
-        return out
+def _short_window(x, axis, k, bufs):
+    # the min over shifts m*k for m < M - 1 only, M = ceil(L / k)
+    out = bufs[0]
+    out[...] = x
+    for m in range(1, -(-x.shape[axis] // k) - 1):
+        np.minimum(out, np.roll(x, m * k, axis=axis), out=out)
+    return out
 
-    monkeypatch.setattr(svga, "_window_min", short_window)
+
+def test_oracle_suite_catches_a_window_one_shift_short(monkeypatch):
+    monkeypatch.setattr(svga, "_window_min", _short_window)
     r = verify.run_oracle_suite(seed=0)
     assert not r.ok
     ce = r.counterexample
@@ -87,14 +93,28 @@ def test_oracle_suite_catches_a_window_one_shift_short(monkeypatch):
     assert r.detail == "mismatch at h=1 w=2 k=1 c=1"
 
 
+def test_oracle_counterexample_reproduces_from_its_keys(monkeypatch):
+    monkeypatch.setattr(svga, "_window_min", _short_window)
+    ce = verify.run_oracle_suite(seed=0).counterexample
+    h, w, k, c = ce["h"], ce["w"], ce["k"], ce["c"]
+    rng = np.random.default_rng([ce["seed"], h, w, k, c])
+    x = rng.standard_normal((verify.ORACLE_IMAGES, c, h, w)).astype(np.float32)
+    lhs = mrconv_aggregate(x, k)
+    rhs = gather_aggregate(x, build_fixed_offsets(h, w, k))
+    idx = ce["index"]
+    assert (ce["lhs"], ce["rhs"]) == (float(lhs[idx]), float(rhs[idx]))
+    assert ce["lhs"] != ce["rhs"]
+    assert ce["mismatches"] == int(np.count_nonzero(lhs.view(np.uint32) != rhs.view(np.uint32)))
+
+
 def test_oracle_suite_with_one_image_sees_the_first_of_a_larger_draw(monkeypatch):
     first = {}
 
-    def recording_roll(x, k, proj):
+    def recording_aggregate(x, k):
         first.setdefault(len(x), []).append(x[0].copy())
-        return mrconv_roll(x, k, proj)
+        return mrconv_aggregate(x, k)
 
-    monkeypatch.setattr(verify, "mrconv_roll", recording_roll)
+    monkeypatch.setattr(verify, "mrconv_aggregate", recording_aggregate)
     assert verify.run_oracle_suite(seed=0, seeds_per_case=1).ok
     assert verify.run_oracle_suite(seed=0).ok
     one, many = first[1], first[verify.ORACLE_IMAGES]
