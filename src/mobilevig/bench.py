@@ -1,9 +1,9 @@
 """Wall-clock microbenchmarks for the two aggregation mechanisms.
 
-Times only the aggregation step: rolls + max folding for the fixed-graph
-path, and graph construction + layout changes + gathers + max folding for
-the KNN baseline. The shared projection conv is excluded by default and can
-be included symmetrically for both mechanisms.
+Times only the aggregation step X_j: window minima over the fixed graph's
+shifts for the SVGA path, and graph construction + layout changes + gathers
++ max folding for the KNN baseline. The Grapher's projection conv, the same
+for both mechanisms, is not timed.
 """
 
 from __future__ import annotations
@@ -19,9 +19,8 @@ from typing import Callable
 
 import numpy as np
 
-from .grad_check import random_conv_bn
-from .knn import knn_aggregate, knn_graph, mrconv_knn
-from .svga import mrconv_aggregate, mrconv_roll
+from .knn import knn_aggregate, knn_graph
+from .svga import mrconv_aggregate
 from .tensor_core import _openblas
 
 MIN_REPS = 30
@@ -104,21 +103,14 @@ def environment() -> dict:
 
 
 def aggregation_step(mechanism: str, h: int, w: int, c: int, k: int,
-                     batch: int = 1, include_projection: bool = False,
-                     seed: int = 0) -> Callable[[], np.ndarray]:
-    """The operation time_aggregation times, on its seeded input: one
-    generator keyed by seed draws x, then the projection."""
+                     batch: int = 1, seed: int = 0) -> Callable[[], np.ndarray]:
+    """The operation time_aggregation times, on its seeded input: x is the
+    first draw of a generator keyed by seed."""
     if mechanism not in ("svga", "knn"):
         raise ValueError(f"unknown mechanism {mechanism!r}")
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((batch, c, h, w)).astype(np.float32)
-    proj = random_conv_bn(rng, 2 * c, 2 * c, np.float32) if include_projection else None
+    x = np.random.default_rng(seed).standard_normal((batch, c, h, w)).astype(np.float32)
     if mechanism == "svga":
-        if include_projection:
-            return lambda: mrconv_roll(x, k, proj)
         return lambda: mrconv_aggregate(x, k)
-    if include_projection:
-        return lambda: mrconv_knn(x, knn_graph(x, k), proj)
     return lambda: knn_aggregate(x, knn_graph(x, k))
 
 
@@ -135,12 +127,12 @@ def percentiles_ns(times) -> tuple[int, int, int]:
 
 def time_aggregation(mechanism: str, h: int, w: int, c: int, k: int,
                      batch: int = 1, reps: int = 100, warmup: int = 10,
-                     include_projection: bool = False, seed: int = 0) -> BenchRecord:
+                     seed: int = 0) -> BenchRecord:
     if reps < MIN_REPS:
         raise ValueError(f"reps must be >= {MIN_REPS}, got {reps}")
     if warmup < MIN_WARMUP:
         raise ValueError(f"warmup must be >= {MIN_WARMUP}, got {warmup}")
-    step = aggregation_step(mechanism, h, w, c, k, batch, include_projection, seed)
+    step = aggregation_step(mechanism, h, w, c, k, batch, seed)
     for _ in range(warmup):
         step()
     times = [time_once_ns(step) for _ in range(reps)]
@@ -151,11 +143,10 @@ def time_aggregation(mechanism: str, h: int, w: int, c: int, k: int,
 
 def run_bench(mechanisms: list[str], h: int, w: int, c: int, svga_k: int = 2,
               knn_k: int = 9, batch: int = 1, reps: int = 100, warmup: int = 10,
-              include_projection: bool = False, seed: int = 0) -> BenchReport:
+              seed: int = 0) -> BenchReport:
     records = []
     for mech in mechanisms:
         k = svga_k if mech == "svga" else knn_k
         records.append(time_aggregation(
-            mech, h, w, c, k, batch=batch, reps=reps, warmup=warmup,
-            include_projection=include_projection, seed=seed))
+            mech, h, w, c, k, batch=batch, reps=reps, warmup=warmup, seed=seed))
     return BenchReport(records=records, env=environment())

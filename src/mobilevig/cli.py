@@ -86,7 +86,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", type=_positive_int, default=1)
     p.add_argument("--reps", type=_positive_int, default=100)
     p.add_argument("--warmup", type=_positive_int, default=10)
-    p.add_argument("--include-projection", action="store_true")
     p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--json", dest="json_path")
     p.add_argument("--csv", dest="csv_path")
@@ -172,8 +171,7 @@ def _cmd_bench(args) -> int:
     h, w = args.size
     report = run_bench(
         mechanisms, h, w, args.channels, svga_k=args.k, knn_k=args.knn_k,
-        batch=args.batch, reps=args.reps, warmup=args.warmup,
-        include_projection=args.include_projection, seed=seed)
+        batch=args.batch, reps=args.reps, warmup=args.warmup, seed=seed)
     print(f"{'mechanism':<10} {'h':>4} {'w':>4} {'c':>5} {'k':>3} {'batch':>5} "
           f"{'median':>12} {'p10':>12} {'p90':>12}")
     for r in report.records:

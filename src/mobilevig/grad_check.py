@@ -35,8 +35,10 @@ class GradCheckError(RuntimeError):
 
 @dataclass
 class _Tape:
-    conv_bn: dict[str, tuple[Array, Array]] = field(default_factory=dict)
-    act_pre: dict[str, Array] = field(default_factory=dict)
+    # records in forward order, popped by the backward pass: a ConvBn's
+    # record index is its position in the block's tuple
+    conv_bn: list[tuple[Array, Array]] = field(default_factory=list)
+    act_pre: list[Array] = field(default_factory=list)
     folds: list[tuple[int, int, Array, Array]] = field(default_factory=list)
     min_tie_gap: float = math.inf
     min_act_abs: float = math.inf
@@ -46,25 +48,31 @@ def _bn_scale(p: ConvBn) -> Array:
     return p.gamma / np.sqrt(p.var + p.eps)
 
 
-def _conv_bn_tape(x: Array, p: ConvBn, name: str, tape: _Tape) -> Array:
+# the learned arrays of a ConvBn, in the order gradients are checked
+_LEARNED = ("weight", "bias", "gamma", "beta")
+
+
+def _conv_bn_tape(x: Array, p: ConvBn, tape: _Tape) -> Array:
     # the output comes from conv_bn, as in the block forward, so the two
     # agree bitwise; the unfolded conv output is kept for the gamma gradient
-    tape.conv_bn[name] = (x, conv2d(x, p.spec, p.weight, p.bias))
+    tape.conv_bn.append((x, conv2d(x, p.spec, p.weight, p.bias)))
     return conv_bn(x, p)
 
 
-def _conv_bn_backward(g: Array, p: ConvBn, name: str, tape: _Tape,
-                      grads: dict[str, Array]) -> Array:
-    x_in, pre = tape.conv_bn[name]
+def _conv_bn_backward(g: Array, w: tuple[ConvBn, ...], tape: _Tape,
+                      grads: list) -> Array:
+    """Backward through the last ConvBn left on the tape, w[i]: pops its
+    record and sets grads[i] to the gradients of its _LEARNED arrays."""
+    i = len(tape.conv_bn) - 1
+    x_in, pre = tape.conv_bn.pop()
+    p = w[i]
     inv_std = 1.0 / np.sqrt(p.var + p.eps)
-    grads[name + ".gamma"] = np.einsum(
+    g_gamma = np.einsum(
         "nchw,nchw->c", g, (pre - p.mean.reshape(1, -1, 1, 1)) * inv_std.reshape(1, -1, 1, 1))
-    grads[name + ".beta"] = g.sum(axis=(0, 2, 3))
     g_pre = g * _bn_scale(p).reshape(1, -1, 1, 1)
-    wmat = p.weight[:, :, 0, 0]
-    grads[name + ".weight"] = np.einsum("nohw,nihw->oi", g_pre, x_in)[:, :, None, None]
-    grads[name + ".bias"] = g_pre.sum(axis=(0, 2, 3))
-    return np.einsum("nohw,oi->nihw", g_pre, wmat)
+    grads[i] = (np.einsum("nohw,nihw->oi", g_pre, x_in)[:, :, None, None],
+                g_pre.sum(axis=(0, 2, 3)), g_gamma, g.sum(axis=(0, 2, 3)))
+    return np.einsum("nohw,oi->nihw", g_pre, p.weight[:, :, 0, 0])
 
 
 def _aggregate_tape(x: Array, k: int, tape: _Tape) -> Array:
@@ -95,17 +103,16 @@ def _act(x: Array, identity: bool) -> Array:
     return x if identity else gelu(x)
 
 
-def _act_tape(x: Array, name: str, tape: _Tape, identity: bool) -> Array:
-    tape.act_pre[name] = x
+def _act_tape(x: Array, tape: _Tape, identity: bool) -> Array:
+    tape.act_pre.append(x)
     if not identity:
         tape.min_act_abs = min(tape.min_act_abs, float(np.min(np.abs(x))))
     return _act(x, identity)
 
 
-def _act_backward(g: Array, name: str, tape: _Tape, identity: bool) -> Array:
-    if identity:
-        return g
-    return g * gelu_grad(tape.act_pre[name])
+def _act_backward(g: Array, tape: _Tape, identity: bool) -> Array:
+    pre = tape.act_pre.pop()
+    return g if identity else g * gelu_grad(pre)
 
 
 def _forward_tape(x: Array, w: tuple[ConvBn, ...], k: int,
@@ -113,41 +120,39 @@ def _forward_tape(x: Array, w: tuple[ConvBn, ...], k: int,
     tape = _Tape()
     c = x.shape[1]
     w_in, proj, w_out, w1, w2 = w
-    t1 = _conv_bn_tape(x, w_in, "grapher.w_in", tape)
+    t1 = _conv_bn_tape(x, w_in, tape)
     xj = _aggregate_tape(t1, k, tape)
     cat = np.concatenate([t1, xj], axis=1)
-    t3 = _conv_bn_tape(cat, proj, "grapher.proj", tape)
-    t4 = _act_tape(t3, "grapher", tape, identity_act)
-    t6 = _conv_bn_tape(t4, w_out, "grapher.w_out", tape)
+    t3 = _conv_bn_tape(cat, proj, tape)
+    t4 = _act_tape(t3, tape, identity_act)
+    t6 = _conv_bn_tape(t4, w_out, tape)
     y = t6 + x
-    u1 = _conv_bn_tape(y, w1, "ffn.w1", tape)
-    u2 = _act_tape(u1, "ffn", tape, identity_act)
-    u4 = _conv_bn_tape(u2, w2, "ffn.w2", tape)
+    u1 = _conv_bn_tape(y, w1, tape)
+    u2 = _act_tape(u1, tape, identity_act)
+    u4 = _conv_bn_tape(u2, w2, tape)
     z = u4 + y
     assert cat.shape[1] == 2 * c
     return z, tape
 
 
 def _backward_tape(tape: _Tape, w: tuple[ConvBn, ...], identity_act: bool,
-                   g_z: Array) -> dict[str, Array]:
-    grads: dict[str, Array] = {}
+                   g_z: Array) -> tuple[Array, list[tuple[Array, ...]]]:
+    """The gradients of x and, by position in w, of each ConvBn's _LEARNED
+    arrays. Consumes the tape."""
+    grads: list = [None] * len(w)
     c = g_z.shape[1]
-    w_in, proj, w_out, w1, w2 = w
     g_y = g_z.copy()
-    g_u2 = _conv_bn_backward(g_z, w2, "ffn.w2", tape, grads)
-    g_u1 = _act_backward(g_u2, "ffn", tape, identity_act)
-    g_y += _conv_bn_backward(g_u1, w1, "ffn.w1", tape, grads)
+    g_u2 = _conv_bn_backward(g_z, w, tape, grads)
+    g_u1 = _act_backward(g_u2, tape, identity_act)
+    g_y += _conv_bn_backward(g_u1, w, tape, grads)
 
     g_x = g_y.copy()
-    g_t4 = _conv_bn_backward(g_y, w_out, "grapher.w_out", tape, grads)
-    g_t3 = _act_backward(g_t4, "grapher", tape, identity_act)
-    g_cat = _conv_bn_backward(g_t3, proj, "grapher.proj", tape, grads)
-    g_t1 = g_cat[:, :c]
-    g_xj = g_cat[:, c:]
-    g_t1 = g_t1 + _aggregate_backward(g_xj, tape)
-    g_x += _conv_bn_backward(g_t1, w_in, "grapher.w_in", tape, grads)
-    grads["x"] = g_x
-    return grads
+    g_t4 = _conv_bn_backward(g_y, w, tape, grads)
+    g_t3 = _act_backward(g_t4, tape, identity_act)
+    g_cat = _conv_bn_backward(g_t3, w, tape, grads)
+    g_t1 = g_cat[:, :c] + _aggregate_backward(g_cat[:, c:], tape)
+    g_x += _conv_bn_backward(g_t1, w, tape, grads)
+    return g_x, grads
 
 
 # A value m / 2**s, m an object array of Python ints. Sums, differences,
@@ -250,14 +255,6 @@ def random_block_weights(c: int, rng: np.random.Generator, ffn_ratio: int = 4,
                  for _, spec in block_convs(c, ffn_ratio))
 
 
-def _named_weight_arrays(w: tuple[ConvBn, ...]) -> list[tuple[str, Array]]:
-    out = []
-    for (name, _), cb in zip(block_convs(1, 1), w, strict=True):  # names are width-free
-        out += [(name + ".weight", cb.weight), (name + ".bias", cb.bias),
-                (name + ".gamma", cb.gamma), (name + ".beta", cb.beta)]
-    return out
-
-
 # central-difference step; the near-tie margin that forces a resample; the
 # resamples tried before giving up
 FD_STEP = 1e-5
@@ -291,8 +288,13 @@ def grad_check_svga(shape: tuple[int, int, int, int] = (1, 4, 4, 4), k: int = 2,
             ref = svga_block_forward(x, weights, k)
             if not np.array_equal(z, ref):
                 raise GradCheckError("tape forward diverged from block forward")
-        grads = _backward_tape(tape, weights, identity_act, np.ones_like(z))
-        for name, g in grads.items():
+        g_x, conv_grads = _backward_tape(tape, weights, identity_act, np.ones_like(z))
+        # (name, array, analytic gradient): x, then each ConvBn's _LEARNED
+        checked = [("x", x, g_x)] + [
+            (f"conv {i} {f}", getattr(p, f), g)
+            for i, (p, gs) in enumerate(zip(weights, conv_grads))
+            for f, g in zip(_LEARNED, gs)]
+        for name, _, g in checked:
             if not np.all(np.isfinite(g)):
                 raise GradCheckError(f"non-finite gradient for {name}")
 
@@ -304,8 +306,7 @@ def grad_check_svga(shape: tuple[int, int, int, int] = (1, 4, 4, 4), k: int = 2,
             return np.sum(svga_block_forward(x, weights, k))
 
         rels = []
-        for name, arr in [("x", x)] + _named_weight_arrays(weights):
-            analytic = grads[name]
+        for _, arr, analytic in checked:
             for i in range(arr.size):
                 orig = arr.flat[i]
                 arr.flat[i] = orig + FD_STEP

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .svga import FixedGraph, mrconv_project
-from .tensor_core import Array, ConvBn, _matmul, _require
+from .svga import FixedGraph
+from .tensor_core import Array, _matmul, _require
 
 _U = 2.0 ** -53  # float64 unit roundoff
 # Each underflowing product or FMA loses at most 2^-1075; the certificate
@@ -35,7 +35,6 @@ class KnnAdjacency:
 
     h: int
     w: int
-    k: int
     neighbor_idx: Array  # (batch, h*w, k) int64, self excluded
 
     @property
@@ -149,7 +148,7 @@ def knn_graph(x: Array, k: int) -> KnnAdjacency:
             d = pairwise_sq_dists(f, rows=redo[:, None])
             d[np.arange(redo.size), redo] = np.inf
             idx[b, redo] = np.argsort(d, axis=1, kind="stable")[:, :k]
-    return KnnAdjacency(h=h, w=w, k=k, neighbor_idx=idx)
+    return KnnAdjacency(h=h, w=w, neighbor_idx=idx)
 
 
 def adjacency_from_fixed_graph(graph: FixedGraph, batch: int) -> KnnAdjacency:
@@ -168,7 +167,7 @@ def adjacency_from_fixed_graph(graph: FixedGraph, batch: int) -> KnnAdjacency:
     else:
         per_image = np.empty((h * w, 0), dtype=np.int64)
     idx = np.broadcast_to(per_image, (batch,) + per_image.shape).astype(np.int64)
-    return KnnAdjacency(h=h, w=w, k=per_image.shape[1], neighbor_idx=idx)
+    return KnnAdjacency(h=h, w=w, neighbor_idx=idx)
 
 
 def knn_aggregate(x: Array, adj: KnnAdjacency) -> Array:
@@ -198,15 +197,10 @@ def knn_aggregate(x: Array, adj: KnnAdjacency) -> Array:
     nodes = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).reshape(n, h * w, c)
     m = nodes  # the self term
     acc, gathered = np.empty_like(nodes), np.empty_like(nodes)
-    for slot in range(adj.k):
+    for slot in range(idx.shape[2]):
         for b in range(n):
             np.take(nodes[b], idx[b, :, slot], axis=0, out=gathered[b], mode="clip")
         m = np.minimum(m, gathered, out=acc)
     xj = np.subtract(nodes, m, out=acc)
     np.maximum(xj, xj.dtype.type(0), out=xj)
     return np.ascontiguousarray(xj.reshape(n, h, w, c).transpose(0, 3, 1, 2))
-
-
-def mrconv_knn(x: Array, adj: KnnAdjacency, proj: ConvBn) -> Array:
-    """Gather-based max-relative graph convolution over a KNN adjacency."""
-    return mrconv_project(x, knn_aggregate(x, adj), proj)

@@ -1,6 +1,6 @@
-"""Sparse vision graph attention: fixed row/column graphs, roll-based
-max-relative graph convolution, an explicit-gather oracle for it, and the
-Grapher / FFN / SVGA block built on top.
+"""Sparse vision graph attention: fixed row/column graphs, the max-relative
+aggregation X_j by shifted window minima (the roll path), an explicit-gather
+oracle for it, and the Grapher / FFN / SVGA block built on top.
 
 The roll path and the gather oracle must agree bitwise on finite inputs.
 The oracle folds max(x - y) over each (pixel, neighbour) pair from zeros;
@@ -44,7 +44,6 @@ class FixedGraph:
 
     h: int
     w: int
-    k: int
     row_offsets: tuple[int, ...]
     col_offsets: tuple[int, ...]
 
@@ -54,7 +53,7 @@ def build_fixed_offsets(h: int, w: int, k: int) -> FixedGraph:
     _require(h >= 1 and w >= 1, "grid dims must be >= 1")
     if k < 1:
         raise ValueError(f"connection stride k must be >= 1, got {k}")
-    return FixedGraph(h=h, w=w, k=k,
+    return FixedGraph(h=h, w=w,
                       row_offsets=tuple(range(k, w, k)),
                       col_offsets=tuple(range(k, h, k)))
 
@@ -123,15 +122,6 @@ def mrconv_aggregate(x: Array, k: int) -> Array:
     return np.maximum(xj, xj.dtype.type(0), out=xj)
 
 
-def mrconv_project(x: Array, xj: Array, proj: ConvBn) -> Array:
-    return conv_bn(concat_channels(x, xj), proj)
-
-
-def mrconv_roll(x: Array, k: int, proj: ConvBn) -> Array:
-    """Roll-based max-relative graph convolution: project(concat(X, X_j))."""
-    return mrconv_project(x, mrconv_aggregate(x, k), proj)
-
-
 def gather_aggregate(x: Array, graph: FixedGraph) -> Array:
     """X_j by explicit neighbor gather over the fixed graph.
 
@@ -159,11 +149,6 @@ def gather_aggregate(x: Array, graph: FixedGraph) -> Array:
     return xj
 
 
-def mrconv_gather_oracle(x: Array, graph: FixedGraph, proj: ConvBn) -> Array:
-    """Independent reference for mrconv_roll; must agree with it bitwise."""
-    return mrconv_project(x, gather_aggregate(x, graph), proj)
-
-
 def block_convs(c: int, ffn_ratio: int) -> tuple[tuple[str, ConvSpec], ...]:
     """The convs of an SVGA block of width c, as (name, spec) pairs in the
     order the block applies them: the Grapher's w_in, proj and w_out, then
@@ -179,11 +164,12 @@ def block_convs(c: int, ffn_ratio: int) -> tuple[tuple[str, ConvSpec], ...]:
 
 
 def grapher_forward(x: Array, convs: tuple[ConvBn, ...], k: int) -> Array:
-    """Pointwise in-projection, max-relative step, pointwise out-projection.
-    The residual is the raw block input."""
+    """Pointwise in-projection, max-relative graph conv (concat(t, X_j)
+    through a 1x1 projection), pointwise out-projection. The residual is the
+    raw block input."""
     w_in, proj, w_out = convs
     t = conv_bn(x, w_in)
-    t = mrconv_roll(t, k, proj)
+    t = conv_bn(concat_channels(t, mrconv_aggregate(t, k)), proj)
     t = gelu(t)
     t = conv_bn(t, w_out)
     return elem_add(t, x)

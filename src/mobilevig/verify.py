@@ -14,15 +14,9 @@ from functools import partial
 import numpy as np
 
 from .bench import percentiles_ns, time_once_ns
-from .grad_check import grad_check_svga, random_block_weights, random_conv_bn
-from .knn import adjacency_from_fixed_graph, knn_graph, mrconv_knn
-from .svga import (
-    build_fixed_offsets,
-    gather_aggregate,
-    mrconv_aggregate,
-    mrconv_gather_oracle,
-    svga_block_forward,
-)
+from .grad_check import grad_check_svga, random_block_weights
+from .knn import adjacency_from_fixed_graph, knn_aggregate, knn_graph
+from .svga import build_fixed_offsets, gather_aggregate, mrconv_aggregate, svga_block_forward
 from .tensor_core import Array
 
 ORACLE_DIMS = (1, 2, 4, 7, 8, 14)
@@ -66,11 +60,11 @@ def run_oracle_suite(seed: int = 0, seeds_per_case: int = ORACLE_IMAGES) -> Prop
     not seeds) as the first draw of a generator keyed (seed, h, w, k, c),
     so a smaller count sees the first images of a larger one.
     mrconv_aggregate and gather_aggregate must give the same float32 bit
-    patterns, zero signs included; the projection that mrconv_roll and
-    mrconv_gather_oracle apply after them is one shared conv_bn call and
-    could only repeat this verdict. A counterexample's lhs and rhs are X_j
-    values at index (index[0] is the image), and mismatches counts the
-    differing bit patterns."""
+    patterns, zero signs included. The Grapher's projection after the
+    aggregation is one conv_bn call and could only repeat this verdict, so
+    it is not applied. A counterexample's lhs and rhs are X_j values at
+    index (index[0] is the image), and mismatches counts the differing bit
+    patterns."""
     cases = 0
     for h in ORACLE_DIMS:
         for w in ORACLE_DIMS:
@@ -183,7 +177,12 @@ def knn_exact_reference(features: Array, k: int) -> Array:
 def run_knn_suite(seed: int = 0, seeds: int = KNN_SEEDS) -> PropertyResult:
     """knn_graph vs knn_exact_reference on `seeds` exact-reference cases
     (50 by default), plus the fixed-adjacency bridge to the gather oracle
-    and a graph-construction cost sanity bound."""
+    and a graph-construction cost sanity bound.
+
+    The bridge runs knn_aggregate over the fixed graph's explicit adjacency
+    and gather_aggregate over the graph itself; the two X_j must give the
+    same float32 bit patterns. A counterexample's lhs and rhs are X_j
+    values, and mismatches counts the differing bit patterns."""
     for s in range(seeds):
         h, w = KNN_GRIDS[s % len(KNN_GRIDS)]
         c = (1, 3, 4)[s % 3]
@@ -209,15 +208,14 @@ def run_knn_suite(seed: int = 0, seeds: int = KNN_SEEDS) -> PropertyResult:
 
     for h, w, k in ((4, 4, 2), (7, 7, 2), (8, 8, 3)):
         rng = np.random.default_rng([seed, h, w, k])
-        c = 3
-        x = rng.standard_normal((2, c, h, w)).astype(np.float32)
+        x = rng.standard_normal((2, 3, h, w)).astype(np.float32)
         graph = build_fixed_offsets(h, w, k)
-        proj = random_conv_bn(rng, 2 * c, c, np.float32)
-        via_adj = mrconv_knn(x, adjacency_from_fixed_graph(graph, 2), proj)
-        via_gather = mrconv_gather_oracle(x, graph, proj)
-        if not np.array_equal(via_adj, via_gather):
+        via_adj = knn_aggregate(x, adjacency_from_fixed_graph(graph, 2))
+        via_gather = gather_aggregate(x, graph)
+        differ = via_adj.view(np.uint32) != via_gather.view(np.uint32)
+        if differ.any():
             ce = {"h": h, "w": w, "k": k, "seed": seed}
-            ce.update(_first_mismatch(via_adj, via_gather))
+            ce.update(_first_mismatch(via_adj, via_gather, differ))
             return PropertyResult(
                 "knn-fixed-adjacency", False,
                 f"adjacency path diverged from gather oracle at {h}x{w} k={k}", ce)

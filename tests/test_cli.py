@@ -108,11 +108,12 @@ def test_bench_env_records_settings_in_effect(capsys, monkeypatch, tmp_path):
     assert env["python"] == platform.python_version()
 
 
-def test_bench_has_no_threads_flag(capsys):
+@pytest.mark.parametrize("flag", ["--threads", "--include-projection"])
+def test_bench_rejects_removed_flag(flag, capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["bench", "--threads", "1"])
+        main(["bench", flag])
     assert exc.value.code == 2
-    assert "--threads" in capsys.readouterr().err
+    assert flag in capsys.readouterr().err
 
 
 def test_bench_rejects_low_reps(capsys):

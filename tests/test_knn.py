@@ -7,25 +7,14 @@ from mobilevig.knn import (
     adjacency_from_fixed_graph,
     knn_aggregate,
     knn_graph,
-    mrconv_knn,
     pairwise_sq_dists,
 )
-from mobilevig.svga import build_fixed_offsets, mrconv_gather_oracle
-from mobilevig.tensor_core import ConvSpec, concat_channels, conv_bn
+from mobilevig.svga import build_fixed_offsets, gather_aggregate
 from mobilevig.verify import _knn_cost_medians_ns, knn_exact_reference
-
-from helpers import identity_conv_bn
 
 
 def rand(shape, seed=0):
     return np.random.default_rng(seed).standard_normal(shape).astype(np.float32)
-
-
-def rand_proj(in_c, out_c, seed=0):
-    rng = np.random.default_rng(seed)
-    spec = ConvSpec(in_c, out_c, (1, 1))
-    return identity_conv_bn(spec, rng.standard_normal(spec.weight_shape()),
-                            rng.standard_normal(out_c))
 
 
 def full_sort_dists(x):
@@ -320,14 +309,12 @@ def test_k_bounds_rejected():
         knn_graph(x, 9)
 
 
-def test_fixed_adjacency_matches_gather_oracle():
+def test_fixed_adjacency_matches_gather_oracle(assert_bitwise):
     for h, w, k, seed in ((8, 8, 2, 0), (7, 7, 2, 1), (5, 9, 3, 2)):
         x = rand((2, 3, h, w), seed)
         graph = build_fixed_offsets(h, w, k)
-        proj = rand_proj(6, 3, seed=seed + 10)
-        via_knn = mrconv_knn(x, adjacency_from_fixed_graph(graph, 2), proj)
-        via_gather = mrconv_gather_oracle(x, graph, proj)
-        assert np.array_equal(via_knn, via_gather)
+        via_knn = knn_aggregate(x, adjacency_from_fixed_graph(graph, 2))
+        assert_bitwise(via_knn, gather_aggregate(x, graph))
 
 
 def test_constant_input_gives_zero_relative_features():
@@ -336,12 +323,10 @@ def test_constant_input_gives_zero_relative_features():
     assert np.all(knn_aggregate(x, adj) == 0.0)
 
 
-def test_empty_adjacency_reduces_to_projection():
+def test_empty_adjacency_gives_positive_zeros(assert_bitwise):
     x = rand((1, 2, 3, 3), seed=4)
-    adj = KnnAdjacency(h=3, w=3, k=0, neighbor_idx=np.empty((1, 9, 0), np.int64))
-    proj = rand_proj(4, 2, seed=5)
-    want = conv_bn(concat_channels(x, np.zeros_like(x)), proj)
-    assert np.array_equal(mrconv_knn(x, adj, proj), want)
+    adj = KnnAdjacency(h=3, w=3, neighbor_idx=np.empty((1, 9, 0), np.int64))
+    assert_bitwise(knn_aggregate(x, adj), np.zeros_like(x))
 
 
 def slot_fold(x, adj):
@@ -350,7 +335,7 @@ def slot_fold(x, adj):
     n, c, h, w = x.shape
     nodes = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).reshape(n, h * w, c)
     xj = np.zeros_like(nodes)
-    for slot in range(adj.k):
+    for slot in range(adj.neighbor_idx.shape[2]):
         gathered = np.take_along_axis(nodes, adj.neighbor_idx[:, :, slot][:, :, None], axis=1)
         xj = np.maximum(nodes - gathered, xj)
     return np.ascontiguousarray(xj.reshape(n, h, w, c).transpose(0, 3, 1, 2))
@@ -370,7 +355,7 @@ def test_aggregate_with_repeated_indices_equals_slot_fold(signed_zero_input, ass
         x = signed_zero_input((2, c, h, w), np.float32, seed=k)
         # few distinct values, so rows repeat indices, the node itself included
         idx = rng.integers(0, 3, size=(2, h * w, k)) * (h * w // 3)
-        adj = KnnAdjacency(h=h, w=w, k=k, neighbor_idx=idx.astype(np.int64))
+        adj = KnnAdjacency(h=h, w=w, neighbor_idx=idx.astype(np.int64))
         assert_bitwise(knn_aggregate(x, adj), slot_fold(x, adj))
 
 
@@ -385,7 +370,7 @@ def test_aggregate_propagates_nan_like_slot_fold(assert_bitwise):
 
 def test_adjacency_validation():
     x = rand((1, 2, 4, 4))
-    adj = KnnAdjacency(h=5, w=4, k=1, neighbor_idx=np.zeros((1, 20, 1), np.int64))
+    adj = KnnAdjacency(h=5, w=4, neighbor_idx=np.zeros((1, 20, 1), np.int64))
     with pytest.raises(ValueError):
         knn_aggregate(x, adj)
 
@@ -395,7 +380,7 @@ def test_aggregate_rejects_out_of_range_indices(bad):
     x = rand((2, 3, 4, 4))
     idx = np.zeros((2, 16, 2), np.int64)
     idx[1, 5, 1] = bad
-    adj = KnnAdjacency(h=4, w=4, k=2, neighbor_idx=idx)
+    adj = KnnAdjacency(h=4, w=4, neighbor_idx=idx)
     with pytest.raises(ValueError, match=r"neighbour indices must be in \[0, 16\)"):
         knn_aggregate(x, adj)
 
@@ -431,3 +416,22 @@ def test_cost_growth_failure_reports_both_medians(monkeypatch):
                         "(medians 2.000 ms vs 1.000 ms)")
     assert r.counterexample == {"ratio": 2.0, "median_7x7_ms": 1.0,
                                 "median_14x14_ms": 2.0, "seed": 0}
+
+
+def test_fixed_adjacency_bridge_compares_bit_patterns(monkeypatch):
+    # -0 == +0, so only a compare of bit patterns sees this one flipped zero
+    def one_zero_negated(x, adj):
+        xj = knn_aggregate(x, adj)
+        i = np.flatnonzero(xj == 0)[0]
+        xj.flat[i] = -xj.flat[i]
+        return xj
+
+    monkeypatch.setattr(verify, "knn_aggregate", one_zero_negated)
+    r = verify.run_knn_suite(seed=0, seeds=1)
+    assert (r.name, r.ok) == ("knn-fixed-adjacency", False)
+    assert r.detail == "adjacency path diverged from gather oracle at 4x4 k=2"
+    ce = r.counterexample
+    assert set(ce) == {"h", "w", "k", "seed", "index", "lhs", "rhs", "mismatches"}
+    assert (ce["h"], ce["w"], ce["k"], ce["seed"], ce["mismatches"]) == (4, 4, 2, 0, 1)
+    assert ce["lhs"] == ce["rhs"] == 0.0
+    assert (np.signbit(ce["lhs"]), np.signbit(ce["rhs"])) == (True, False)

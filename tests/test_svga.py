@@ -12,24 +12,15 @@ from mobilevig.svga import (
     gather_aggregate,
     grapher_forward,
     mrconv_aggregate,
-    mrconv_gather_oracle,
-    mrconv_roll,
     svga_block_forward,
 )
-from mobilevig.tensor_core import ConvSpec, concat_channels, conv_bn, roll_2d
+from mobilevig.tensor_core import ConvSpec, concat_channels, conv_bn, gelu, roll_2d
 
 from helpers import identity_conv_bn, neighbors_per_pixel
 
 
 def rand(shape, seed=0):
     return np.random.default_rng(seed).standard_normal(shape).astype(np.float32)
-
-
-def rand_proj(in_c, out_c, seed=0):
-    rng = np.random.default_rng(seed)
-    spec = ConvSpec(in_c, out_c, (1, 1))
-    return identity_conv_bn(spec, rng.standard_normal(spec.weight_shape()),
-                            rng.standard_normal(out_c))
 
 
 def zero_block_weights(c, ffn_ratio=4):
@@ -206,33 +197,31 @@ def test_aggregate_accepts_non_contiguous_input(signed_zero_input, assert_bitwis
     assert_bitwise(mrconv_aggregate(x[:, :, ::2, 1:], 2), shift_fold(x[:, :, ::2, 1:], 2))
 
 
-def test_mrconv_constant_input_reduces_to_projection():
+def test_mrconv_constant_input_gives_positive_zeros(assert_bitwise):
     x = np.full((1, 2, 4, 4), 3.0, np.float32)
-    proj = rand_proj(4, 2, seed=5)
-    got = mrconv_roll(x, 2, proj)
-    want = conv_bn(concat_channels(x, np.zeros_like(x)), proj)
-    assert np.array_equal(got, want)
+    assert_bitwise(mrconv_aggregate(x, 2), np.zeros_like(x))
 
 
-def test_oracle_equivalence_random_8x8():
-    x = rand((2, 3, 8, 8), seed=7)
-    proj = rand_proj(6, 3, seed=8)
-    graph = build_fixed_offsets(8, 8, 2)
-    assert np.array_equal(mrconv_roll(x, 2, proj), mrconv_gather_oracle(x, graph, proj))
+def test_grapher_projects_x_then_oracle_xj(assert_bitwise):
+    # a non-square map whose sides k does not both divide
+    c, h, w, k = 3, 6, 9, 2
+    w_in, proj, w_out = random_block_weights(c, np.random.default_rng(8), dtype=np.float32)[:3]
+    x = rand((2, c, h, w), seed=7)
+    t = conv_bn(x, w_in)
+    xj = gather_aggregate(t, build_fixed_offsets(h, w, k))
+    want = conv_bn(gelu(conv_bn(concat_channels(t, xj), proj)), w_out) + x
+    assert_bitwise(grapher_forward(x, (w_in, proj, w_out), k), want)
 
 
-def test_oracle_empty_graph_is_projection_of_self_and_zero():
+def test_oracle_empty_graph_gives_positive_zeros(assert_bitwise):
     x = rand((1, 2, 3, 3), seed=9)
-    graph = build_fixed_offsets(3, 3, 5)
-    proj = rand_proj(4, 2, seed=10)
-    want = conv_bn(concat_channels(x, np.zeros_like(x)), proj)
-    assert np.array_equal(mrconv_gather_oracle(x, graph, proj), want)
+    assert_bitwise(gather_aggregate(x, build_fixed_offsets(3, 3, 5)), np.zeros_like(x))
 
 
 def test_oracle_rejects_wrong_grid():
     x = rand((1, 2, 4, 4))
     with pytest.raises(ValueError):
-        mrconv_gather_oracle(x, build_fixed_offsets(5, 4, 2), rand_proj(4, 2))
+        gather_aggregate(x, build_fixed_offsets(5, 4, 2))
 
 
 # ------------------------------------------------------ grapher / ffn / block
