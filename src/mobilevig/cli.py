@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -51,10 +52,24 @@ def _default_seed() -> int:
         raise ValueError(f"MVIG_SEED: {exc}") from None
 
 
+def _strict_json(doc, indent: int | None = None) -> str:
+    """doc as standard JSON: a non-finite float (NaN, inf) is written as
+    null, since JSON has no token for it."""
+    def finite(v):
+        if isinstance(v, float):
+            return v if math.isfinite(v) else None
+        if isinstance(v, dict):
+            return {key: finite(x) for key, x in v.items()}
+        if isinstance(v, (list, tuple)):
+            return [finite(x) for x in v]
+        return v
+
+    return json.dumps(finite(doc), indent=indent, allow_nan=False)
+
+
 def _write_json(path: str, doc: dict) -> None:
     with open(path, "w") as f:
-        json.dump(doc, f, indent=2)
-        f.write("\n")
+        f.write(_strict_json(doc, indent=2) + "\n")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -156,7 +171,7 @@ def _cmd_verify(args) -> int:
         results.append((r, seconds))
         print(f"{'PASS' if r.ok else 'FAIL'} {r.name}: {r.detail} ({seconds:.2f} s)")
         if not r.ok:
-            print(f"counterexample: {json.dumps(r.counterexample)}", file=sys.stderr)
+            print(f"counterexample: {_strict_json(r.counterexample)}", file=sys.stderr)
     if args.json_path:
         doc = {"seed": seed, "suites": [
             {"name": r.name, "ok": r.ok, "detail": r.detail, "seconds": seconds,

@@ -11,10 +11,11 @@ The reference side is a central difference of the scalar loss sum(output).
 With identity activations the block is built from additions, products and
 max folds only, so that loss is evaluated exactly, on dyadic rationals
 (every float64 is one); the difference quotient then carries no rounding
-noise, however small the gradient entry. The operands are converted to
-exact form once per input, and each step converts again only the one it
-edits (x, or the ConvBn that holds the edited array). A NaN difference
-quotient or analytic entry gives a NaN error.
+noise, however small the gradient entry. The operands (x and the five
+ConvBns) are converted to exact form once per attempt, and each step
+converts again only the operand at the edited array's owner position: x,
+or the ConvBn that holds the edited array. A NaN difference quotient or
+analytic entry gives a NaN error.
 """
 
 from __future__ import annotations
@@ -192,8 +193,10 @@ def _exact_conv_bn(x: _Exact, ops: tuple[_Exact, ...]) -> _Exact:
     return _exact_add((pre[0] * scale[0], pre[1] + scale[1]), beta)
 
 
-def _exact_block_sum(xe: _Exact, ops: list[tuple[_Exact, ...]], k: int) -> Fraction:
-    w_in, proj, w_out, w1, w2 = ops
+def _exact_block_sum(ops: list, k: int) -> Fraction:
+    """sum(block(x)) with identity activations, without rounding, from
+    [_exact(x), _exact_operands(w[0]), ..., _exact_operands(w[4])]."""
+    xe, w_in, proj, w_out, w1, w2 = ops
     t1 = _exact_conv_bn(xe, w_in)
     xj = np.zeros_like(t1[0])
     for down, right in fold_shifts(t1[0].shape[2], t1[0].shape[3], k):
@@ -202,35 +205,6 @@ def _exact_block_sum(xe: _Exact, ops: list[tuple[_Exact, ...]], k: int) -> Fract
     y = _exact_add(_exact_conv_bn(t3, w_out), xe)
     z = _exact_add(_exact_conv_bn(_exact_conv_bn(y, w1), w2), y)
     return Fraction(int(z[0].sum()), 1 << z[1])
-
-
-def _exact_identity_loss(x: Array, w: tuple[ConvBn, ...], k: int) -> Fraction:
-    """sum(block(x)) with identity activations, without rounding."""
-    return _exact_block_sum(_exact(x), [_exact_operands(p) for p in w], k)
-
-
-class _CachedExactLoss:
-    """_exact_identity_loss(x, w, k) with the exact operands converted once.
-
-    Calling it with the array just edited in place (x, or the weight, bias,
-    gamma or beta of one ConvBn) converts that array's owner again: x, or
-    the whole ConvBn, whose batch-norm scale a gamma edit also changes.
-    Every other array must hold the values it had at construction; the
-    cache itself is never updated, so restoring an edit needs no call."""
-
-    def __init__(self, x: Array, w: tuple[ConvBn, ...], k: int):
-        self.x, self.w, self.k = x, w, k
-        self.xe = _exact(x)
-        self.ops = [_exact_operands(p) for p in w]
-        self.owner = {id(a): i for i, p in enumerate(w)
-                      for a in (p.weight, p.bias, p.gamma, p.beta)}
-
-    def __call__(self, edited: Array) -> Fraction:
-        if edited is self.x:
-            return _exact_block_sum(_exact(edited), self.ops, self.k)
-        i = self.owner[id(edited)]
-        ops = self.ops[:i] + [_exact_operands(self.w[i])] + self.ops[i + 1:]
-        return _exact_block_sum(self.xe, ops, self.k)
 
 
 def random_conv_bn(rng: np.random.Generator, in_c: int, out_c: int, dtype) -> ConvBn:
@@ -289,30 +263,36 @@ def grad_check_svga(shape: tuple[int, int, int, int] = (1, 4, 4, 4), k: int = 2,
             if not np.array_equal(z, ref):
                 raise GradCheckError("tape forward diverged from block forward")
         g_x, conv_grads = _backward_tape(tape, weights, identity_act, np.ones_like(z))
-        # (name, array, analytic gradient): x, then each ConvBn's _LEARNED
-        checked = [("x", x, g_x)] + [
-            (f"conv {i} {f}", getattr(p, f), g)
+        # (name, owner, array, analytic gradient): x, then each ConvBn's
+        # _LEARNED; the owner's position is 0 for x and i + 1 for weights[i]
+        checked = [("x", 0, x, g_x)] + [
+            (f"conv {i} {f}", i + 1, getattr(p, f), g)
             for i, (p, gs) in enumerate(zip(weights, conv_grads))
             for f, g in zip(_LEARNED, gs)]
-        for name, _, g in checked:
+        for name, _, _, g in checked:
             if not np.all(np.isfinite(g)):
                 raise GradCheckError(f"non-finite gradient for {name}")
 
-        exact = _CachedExactLoss(x, weights, k) if identity_act else None
+        exact = ([_exact(x)] + [_exact_operands(p) for p in weights]
+                 if identity_act else None)
 
-        def loss(edited: Array) -> Fraction | np.floating:
-            if exact is not None:
-                return exact(edited)
-            return np.sum(svga_block_forward(x, weights, k))
+        def loss(j: int) -> Fraction | np.floating:
+            # after an edit to an array of owner j, which alone is converted
+            # again (a gamma edit changes the batch-norm scale too)
+            if exact is None:
+                return np.sum(svga_block_forward(x, weights, k))
+            ops = exact.copy()
+            ops[j] = _exact(x) if j == 0 else _exact_operands(weights[j - 1])
+            return _exact_block_sum(ops, k)
 
         rels = []
-        for _, arr, analytic in checked:
+        for _, j, arr, analytic in checked:
             for i in range(arr.size):
                 orig = arr.flat[i]
                 arr.flat[i] = orig + FD_STEP
-                lp = loss(arr)
+                lp = loss(j)
                 arr.flat[i] = orig - FD_STEP
-                lm = loss(arr)
+                lm = loss(j)
                 arr.flat[i] = orig
                 fd = float((lp - lm) / (2.0 * FD_STEP))
                 a = float(analytic.flat[i])

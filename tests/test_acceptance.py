@@ -7,6 +7,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from mobilevig.arch import VARIANTS, build_model, count_macs, count_params, model_forward_with_stages
 from mobilevig.bench import run_bench
@@ -81,12 +82,14 @@ def test_criterion_5_shape_schedule():
     assert not failures, failures
 
 
+@pytest.mark.wallclock
 def test_criterion_6_knn_correctness():
     r = run_knn_suite(seed=0)
     _report(6, "knn graph matches exact reference (50 cases, exact)", r.ok, r.detail)
     assert r.ok, r.counterexample
 
 
+@pytest.mark.wallclock
 def test_criterion_7_benchmark_direction():
     lines = []
     ok = True

@@ -5,7 +5,10 @@ import struct
 import numpy as np
 import pytest
 
+from mobilevig import verify
+from mobilevig.arch import build_model, get_variant
 from mobilevig.cli import load_ppm, main
+from mobilevig.weights_io import save_weights
 
 
 def test_describe_reports_counts_and_stages(capsys, tmp_path):
@@ -130,6 +133,7 @@ def test_bench_rejects_nonpositive_size(capsys, size):
     assert "--size" in capsys.readouterr().err
 
 
+@pytest.mark.wallclock
 def test_bench_median_stable_when_reps_double(run_with_blas_threads):
     # measured in a new process with BLAS on one thread; the 30-rep and the
     # 60-rep measurement of time_aggregation's operation are interleaved
@@ -230,6 +234,31 @@ def test_forward_save_load_roundtrip(capsys, tmp_path):
     assert main(["forward", "--variant", "Ti", "--size", "64", "--seed", "4",
                  "--load", str(w), "--json", str(j2)]) == 0
     assert json.loads(j1.read_text())["logits"] == json.loads(j2.read_text())["logits"]
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+def test_forward_json_writes_nonfinite_logits_as_null(capsys, tmp_path):
+    w = tmp_path / "nan.mvig"
+    weights = build_model(get_variant("Ti"), 0)
+    weights.blocks[0][0].weight[0, 0, 0, 0] = np.nan
+    save_weights(str(w), weights)
+    out_json = tmp_path / "out.json"
+    assert main(["forward", "--variant", "Ti", "--size", "64", "--load", str(w),
+                 "--json", str(out_json)]) == 0
+    doc = json.loads(out_json.read_text(), parse_constant=_reject_constant)
+    assert None in doc["logits"][0]
+
+
+def test_verify_counterexample_line_is_strict_json(capsys, monkeypatch):
+    monkeypatch.setattr(verify, "grad_check_svga", lambda *a, **kw: float("nan"))
+    assert main(["verify", "--suite", "grad", "--seed", "0"]) == 1
+    [line] = [ln for ln in capsys.readouterr().err.splitlines()
+              if ln.startswith("counterexample: ")]
+    doc = json.loads(line.removeprefix("counterexample: "), parse_constant=_reject_constant)
+    assert doc["error"] is None
 
 
 def test_forward_rejects_corrupt_weights(capsys, tmp_path):

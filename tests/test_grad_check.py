@@ -5,7 +5,7 @@ import mobilevig.grad_check as gc
 from mobilevig import verify
 from mobilevig.grad_check import GradCheckError, grad_check_svga, random_block_weights
 from mobilevig.svga import block_convs, svga_block_forward
-from mobilevig.verify import GRAD_LINEAR_TOL
+from mobilevig.verify import GRAD_LINEAR_TOL, GRAD_TOL
 
 
 def test_full_block_gradients_match_finite_differences():
@@ -36,16 +36,32 @@ def test_linear_subnetwork_seed_11_within_suite_tolerance():
     assert err < GRAD_LINEAR_TOL, f"max relative error {err}"
 
 
+def test_batch_of_two_gradients_match_finite_differences():
+    # x owns two images here, so its exact operand spans the batch
+    err = grad_check_svga((2, 2, 3, 3), k=2, seed=0)
+    assert err < GRAD_TOL, f"max relative error {err}"
+
+
+def test_batch_of_two_linear_subnetwork_is_near_exact():
+    err = grad_check_svga((2, 2, 3, 3), k=2, seed=0, identity_act=True)
+    assert err < GRAD_LINEAR_TOL, f"max relative error {err}"
+
+
+def _exact_loss(x, w, k):
+    # the identity-activation loss from freshly converted operands
+    return gc._exact_block_sum([gc._exact(x)] + [gc._exact_operands(p) for p in w], k)
+
+
 def test_exact_identity_loss_matches_float_forward():
     rng = np.random.default_rng(5)
     w = random_block_weights(4, rng)
     x = rng.normal(size=(1, 4, 5, 3))
     z, _ = gc._forward_tape(x, w, 2, identity_act=True)
-    exact = gc._exact_identity_loss(x, w, 2)
+    exact = _exact_loss(x, w, 2)
     assert float(exact) == pytest.approx(float(np.sum(z)), rel=1e-12)
     # exact: a change far below float64 resolution of the loss still shows
     x[0, 1, 2, 0] += 2.0 ** -40
-    assert gc._exact_identity_loss(x, w, 2) != exact
+    assert _exact_loss(x, w, 2) != exact
 
 
 def test_random_block_weights_follow_block_convs():
@@ -81,19 +97,6 @@ def test_nonfinite_gradient_names_parameter(monkeypatch):
     monkeypatch.setattr(gc, "random_block_weights", poisoned)
     with pytest.raises(GradCheckError, match="non-finite gradient for"):
         grad_check_svga((1, 2, 3, 3), k=2, seed=0, identity_act=True)
-
-
-def test_cached_exact_loss_equals_a_fresh_evaluation_after_each_edit():
-    rng = np.random.default_rng(7)
-    w = random_block_weights(3, rng)
-    x = rng.normal(size=(1, 3, 4, 3))
-    cached = gc._CachedExactLoss(x, w, 2)
-    w_in, proj, w_out, w1, w2 = w
-    for arr, i in ((x, 5), (proj.weight, 7), (w_out.bias, 1), (w1.gamma, 4), (w2.beta, 2)):
-        orig = arr.flat[i]
-        for v in (orig + gc.FD_STEP, orig):
-            arr.flat[i] = v
-            assert cached(arr) == gc._exact_identity_loss(x, w, 2)
 
 
 def test_nan_finite_difference_gives_a_nan_error(monkeypatch):

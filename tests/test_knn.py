@@ -385,6 +385,7 @@ def test_aggregate_rejects_out_of_range_indices(bad):
         knn_aggregate(x, adj)
 
 
+@pytest.mark.wallclock
 def test_graph_construction_cost_grows_superlinearly():
     small_ns, big_ns = _knn_cost_medians_ns(seed=0)
     assert big_ns / small_ns > 3.0
