@@ -1,27 +1,28 @@
 """Finite-difference validation of a hand-derived backward pass through one
 SVGA block (float64 only).
 
-The analytic side records a tape during the forward pass and applies the
-chain rule through every op in the block: circular roll (transposed as the
-inverse roll), subtraction, the elementwise max fold (gradient routed to the
-strictly greater operand; ties go to the accumulated value, which entered
-the fold earlier), channel concat (split), 1x1 convolution, inference batch
-norm treated as a per-channel affine map, and the exact GeLU derivative.
-The reference side is a central difference of the scalar loss sum(output).
-With identity activations the block is built from additions, products and
-max folds only, so that loss is evaluated exactly, on dyadic rationals
-(every float64 is one); the difference quotient then carries no rounding
-noise, however small the gradient entry. The operands (x and the five
-ConvBns) are converted to exact form once per attempt, and each step
-converts again only the operand at the edited array's owner position: x,
-or the ConvBn that holds the edited array. A NaN difference quotient or
-analytic entry gives a NaN error.
+One function, _block_gradients, runs the block forward with plain local
+variables and then applies the chain rule in reverse through every op:
+circular roll (transposed as the inverse roll), subtraction, the
+elementwise max fold (gradient routed to the strictly greater operand; ties
+go to the accumulated value, which entered the fold earlier), channel
+concat (split), 1x1 convolution, inference batch norm treated as a
+per-channel affine map, and the exact GeLU derivative. The reference side
+is a central difference of the scalar loss sum(output). With identity
+activations the block is built from additions, products and max folds
+only, so that loss is evaluated exactly, on dyadic rationals (every float64
+is one); the difference quotient then carries no rounding noise, however
+small the gradient entry. The operands (x and the five ConvBns) are
+converted to exact form once per attempt, and each step converts again
+only the operand at the edited array's owner position: x, or the ConvBn
+that holds the edited array. A non-finite analytic gradient raises
+GradCheckError naming its array; a non-finite block output or difference
+quotient gives a NaN error.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -34,17 +35,6 @@ class GradCheckError(RuntimeError):
     pass
 
 
-@dataclass
-class _Tape:
-    # records in forward order, popped by the backward pass: a ConvBn's
-    # record index is its position in the block's tuple
-    conv_bn: list[tuple[Array, Array]] = field(default_factory=list)
-    act_pre: list[Array] = field(default_factory=list)
-    folds: list[tuple[int, int, Array, Array]] = field(default_factory=list)
-    min_tie_gap: float = math.inf
-    min_act_abs: float = math.inf
-
-
 def _bn_scale(p: ConvBn) -> Array:
     return p.gamma / np.sqrt(p.var + p.eps)
 
@@ -53,45 +43,39 @@ def _bn_scale(p: ConvBn) -> Array:
 _LEARNED = ("weight", "bias", "gamma", "beta")
 
 
-def _conv_bn_tape(x: Array, p: ConvBn, tape: _Tape) -> Array:
-    # the output comes from conv_bn, as in the block forward, so the two
-    # agree bitwise; the unfolded conv output is kept for the gamma gradient
-    tape.conv_bn.append((x, conv2d(x, p.spec, p.weight, p.bias)))
-    return conv_bn(x, p)
-
-
-def _conv_bn_backward(g: Array, w: tuple[ConvBn, ...], tape: _Tape,
-                      grads: list) -> Array:
-    """Backward through the last ConvBn left on the tape, w[i]: pops its
-    record and sets grads[i] to the gradients of its _LEARNED arrays."""
-    i = len(tape.conv_bn) - 1
-    x_in, pre = tape.conv_bn.pop()
-    p = w[i]
+def _conv_bn_backward(g: Array, x_in: Array, p: ConvBn) -> tuple[Array, tuple[Array, ...]]:
+    """Backward through conv_bn(x_in, p): the gradient of x_in and those of
+    p's _LEARNED arrays. The gamma gradient needs the unfolded conv output,
+    which conv2d gives again with the forward's bits."""
+    pre = conv2d(x_in, p.spec, p.weight, p.bias)
     inv_std = 1.0 / np.sqrt(p.var + p.eps)
     g_gamma = np.einsum(
         "nchw,nchw->c", g, (pre - p.mean.reshape(1, -1, 1, 1)) * inv_std.reshape(1, -1, 1, 1))
     g_pre = g * _bn_scale(p).reshape(1, -1, 1, 1)
-    grads[i] = (np.einsum("nohw,nihw->oi", g_pre, x_in)[:, :, None, None],
-                g_pre.sum(axis=(0, 2, 3)), g_gamma, g.sum(axis=(0, 2, 3)))
-    return np.einsum("nohw,oi->nihw", g_pre, p.weight[:, :, 0, 0])
+    grads = (np.einsum("nohw,nihw->oi", g_pre, x_in)[:, :, None, None],
+             g_pre.sum(axis=(0, 2, 3)), g_gamma, g.sum(axis=(0, 2, 3)))
+    return np.einsum("nohw,oi->nihw", g_pre, p.weight[:, :, 0, 0]), grads
 
 
-def _aggregate_tape(x: Array, k: int, tape: _Tape) -> Array:
+def _fold(x: Array, k: int) -> tuple[Array, list, float]:
+    """X_j = max over fold_shifts of x - roll(x, s), folded from zeros; its
+    steps (down, right, candidate, accumulator before it); and the smallest
+    |candidate - accumulator| over the steps but (0, 0)."""
     xj = np.zeros_like(x)
+    steps, gap = [], math.inf
     for down, right in fold_shifts(x.shape[2], x.shape[3], k):
         cand = x - roll_2d(x, down, right)
-        tape.folds.append((down, right, cand, xj))
+        steps.append((down, right, cand, xj))
         if (down, right) != (0, 0):
-            gap = float(np.min(np.abs(cand - xj)))
-            tape.min_tie_gap = min(tape.min_tie_gap, gap)
+            gap = min(gap, float(np.min(np.abs(cand - xj))))
         xj = np.maximum(cand, xj)
-    return xj
+    return xj, steps, gap
 
 
-def _aggregate_backward(g_xj: Array, tape: _Tape) -> Array:
+def _fold_backward(g_xj: Array, steps: list) -> Array:
     g_x = np.zeros_like(g_xj)
     g_acc = g_xj
-    for down, right, cand, acc_prev in reversed(tape.folds):
+    for down, right, cand, acc_prev in reversed(steps):
         win = cand > acc_prev
         g_cand = np.where(win, g_acc, 0.0)
         g_acc = np.where(win, 0.0, g_acc)
@@ -100,60 +84,37 @@ def _aggregate_backward(g_xj: Array, tape: _Tape) -> Array:
     return g_x
 
 
-def _act(x: Array, identity: bool) -> Array:
-    return x if identity else gelu(x)
-
-
-def _act_tape(x: Array, tape: _Tape, identity: bool) -> Array:
-    tape.act_pre.append(x)
-    if not identity:
-        tape.min_act_abs = min(tape.min_act_abs, float(np.min(np.abs(x))))
-    return _act(x, identity)
-
-
-def _act_backward(g: Array, tape: _Tape, identity: bool) -> Array:
-    pre = tape.act_pre.pop()
-    return g if identity else g * gelu_grad(pre)
-
-
-def _forward_tape(x: Array, w: tuple[ConvBn, ...], k: int,
-                  identity_act: bool) -> tuple[Array, _Tape]:
-    tape = _Tape()
+def _block_gradients(x: Array, w: tuple[ConvBn, ...], k: int, identity_act: bool
+                     ) -> tuple[Array, Array, list[tuple[Array, ...]], float, float]:
+    """The block output z for input x and ConvBns w; the gradients of
+    sum(z) with respect to x and, by position in w, each ConvBn's _LEARNED
+    arrays; the smallest max-fold tie gap (the (0, 0) steps aside); and the
+    smallest |GeLU input| (inf with identity activations)."""
     c = x.shape[1]
     w_in, proj, w_out, w1, w2 = w
-    t1 = _conv_bn_tape(x, w_in, tape)
-    xj = _aggregate_tape(t1, k, tape)
+    t1 = conv_bn(x, w_in)
+    xj, steps, tie_gap = _fold(t1, k)
     cat = np.concatenate([t1, xj], axis=1)
-    t3 = _conv_bn_tape(cat, proj, tape)
-    t4 = _act_tape(t3, tape, identity_act)
-    t6 = _conv_bn_tape(t4, w_out, tape)
-    y = t6 + x
-    u1 = _conv_bn_tape(y, w1, tape)
-    u2 = _act_tape(u1, tape, identity_act)
-    u4 = _conv_bn_tape(u2, w2, tape)
-    z = u4 + y
-    assert cat.shape[1] == 2 * c
-    return z, tape
+    t3 = conv_bn(cat, proj)
+    t4 = t3 if identity_act else gelu(t3)
+    y = conv_bn(t4, w_out) + x
+    u1 = conv_bn(y, w1)
+    u2 = u1 if identity_act else gelu(u1)
+    z = conv_bn(u2, w2) + y
+    act_abs = math.inf if identity_act else min(float(np.min(np.abs(t3))),
+                                                float(np.min(np.abs(u1))))
 
-
-def _backward_tape(tape: _Tape, w: tuple[ConvBn, ...], identity_act: bool,
-                   g_z: Array) -> tuple[Array, list[tuple[Array, ...]]]:
-    """The gradients of x and, by position in w, of each ConvBn's _LEARNED
-    arrays. Consumes the tape."""
-    grads: list = [None] * len(w)
-    c = g_z.shape[1]
-    g_y = g_z.copy()
-    g_u2 = _conv_bn_backward(g_z, w, tape, grads)
-    g_u1 = _act_backward(g_u2, tape, identity_act)
-    g_y += _conv_bn_backward(g_u1, w, tape, grads)
-
-    g_x = g_y.copy()
-    g_t4 = _conv_bn_backward(g_y, w, tape, grads)
-    g_t3 = _act_backward(g_t4, tape, identity_act)
-    g_cat = _conv_bn_backward(g_t3, w, tape, grads)
-    g_t1 = g_cat[:, :c] + _aggregate_backward(g_cat[:, c:], tape)
-    g_x += _conv_bn_backward(g_t1, w, tape, grads)
-    return g_x, grads
+    g_z = np.ones_like(z)
+    g_u2, g_w2 = _conv_bn_backward(g_z, u2, w2)
+    g_u1 = g_u2 if identity_act else g_u2 * gelu_grad(u1)
+    g_y, g_w1 = _conv_bn_backward(g_u1, y, w1)
+    g_y = g_z + g_y
+    g_t4, g_out = _conv_bn_backward(g_y, t4, w_out)
+    g_t3 = g_t4 if identity_act else g_t4 * gelu_grad(t3)
+    g_cat, g_proj = _conv_bn_backward(g_t3, cat, proj)
+    g_t1 = g_cat[:, :c] + _fold_backward(g_cat[:, c:], steps)
+    g_x, g_in = _conv_bn_backward(g_t1, x, w_in)
+    return z, g_y + g_x, [g_in, g_proj, g_out, g_w1, g_w2], tie_gap, act_abs
 
 
 # A value m / 2**s, m an object array of Python ints. Sums, differences,
@@ -252,17 +213,13 @@ def grad_check_svga(shape: tuple[int, int, int, int] = (1, 4, 4, 4), k: int = 2,
         rng = np.random.default_rng([seed, attempt])
         weights = random_block_weights(c, rng)
         x = rng.normal(size=shape)
-        z, tape = _forward_tape(x, weights, k, identity_act)
+        z, g_x, conv_grads, tie_gap, act_abs = _block_gradients(x, weights, k, identity_act)
         z_finite = bool(np.all(np.isfinite(z)))
-        if z_finite and tape.min_tie_gap < TIE_MARGIN:
-            continue
-        if z_finite and not identity_act and tape.min_act_abs < TIE_MARGIN:
+        if z_finite and min(tie_gap, act_abs) < TIE_MARGIN:
             continue
         if z_finite and not identity_act:
-            ref = svga_block_forward(x, weights, k)
-            if not np.array_equal(z, ref):
-                raise GradCheckError("tape forward diverged from block forward")
-        g_x, conv_grads = _backward_tape(tape, weights, identity_act, np.ones_like(z))
+            if not np.array_equal(z, svga_block_forward(x, weights, k)):
+                raise GradCheckError("forward diverged from block forward")
         # (name, owner, array, analytic gradient): x, then each ConvBn's
         # _LEARNED; the owner's position is 0 for x and i + 1 for weights[i]
         checked = [("x", 0, x, g_x)] + [
@@ -272,6 +229,8 @@ def grad_check_svga(shape: tuple[int, int, int, int] = (1, 4, 4, 4), k: int = 2,
         for name, _, _, g in checked:
             if not np.all(np.isfinite(g)):
                 raise GradCheckError(f"non-finite gradient for {name}")
+        if not z_finite:
+            return math.nan  # a non-finite loss has no finite difference
 
         exact = ([_exact(x)] + [_exact_operands(p) for p in weights]
                  if identity_act else None)

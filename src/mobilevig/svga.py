@@ -62,8 +62,9 @@ def fold_shifts(h: int, w: int, k: int) -> list[tuple[int, int]]:
     """The (down, right) rolls that define X_j = max_s (x - roll(x, s)):
     downward by m*k while m*k < h, then rightward by m*k while m*k < w, each
     from m = 0. mrconv_aggregate takes the minimum over exactly these
-    windows; the grad checker's tape and exact loss fold over them in this
-    order."""
+    windows; the grad checker's forward-and-backward function and its exact
+    loss fold over them in this order."""
+    _require(k >= 1, f"connection stride k must be >= 1, got {k}")
     return [(m * k, 0) for m in range(0, -(-h // k))] + \
            [(0, m * k) for m in range(0, -(-w // k))]
 

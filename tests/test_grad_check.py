@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -56,7 +58,7 @@ def test_exact_identity_loss_matches_float_forward():
     rng = np.random.default_rng(5)
     w = random_block_weights(4, rng)
     x = rng.normal(size=(1, 4, 5, 3))
-    z, _ = gc._forward_tape(x, w, 2, identity_act=True)
+    z = gc._block_gradients(x, w, 2, identity_act=True)[0]
     exact = _exact_loss(x, w, 2)
     assert float(exact) == pytest.approx(float(np.sum(z)), rel=1e-12)
     # exact: a change far below float64 resolution of the loss still shows
@@ -103,7 +105,7 @@ def test_nan_finite_difference_gives_a_nan_error(monkeypatch):
     calls = []
 
     def nan_after_first_call(x, w, k):
-        # the first call is the tape check; every loss evaluation gives NaN
+        # the first call is the bitwise check; every loss evaluation gives NaN
         out = svga_block_forward(x, w, k)
         if calls:
             out[0, 0, 0, 0] = np.nan
@@ -119,3 +121,49 @@ def test_grad_suite_fails_on_a_nan_error(monkeypatch):
     r = verify.run_grad_suite(seed=0)
     assert not r.ok
     assert np.isnan(r.counterexample["error"])
+
+
+@pytest.mark.parametrize("identity_act", [True, False])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_nonfinite_operand_gives_a_nan_error_quietly(monkeypatch, value, identity_act):
+    # beta of the last ConvBn enters no gradient, so every gradient stays
+    # finite while the block output and its loss do not
+    def poisoned(c, rng, ffn_ratio=4, dtype=np.float64):
+        w = random_block_weights(c, rng, ffn_ratio, dtype)
+        w[4].beta[0] = value
+        return w
+
+    monkeypatch.setattr(gc, "random_block_weights", poisoned)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        err = grad_check_svga((1, 2, 3, 3), k=2, seed=0, identity_act=identity_act)
+    assert np.isnan(err)
+
+
+@pytest.mark.parametrize("identity_act", [True, False])
+@pytest.mark.parametrize("k", [0, -1])
+def test_stride_below_one_is_rejected(k, identity_act):
+    with pytest.raises(ValueError, match="connection stride k must be >= 1"):
+        grad_check_svga((1, 4, 4, 4), k=k, seed=0, identity_act=identity_act)
+
+
+def test_forward_divergence_from_block_forward_is_reported(monkeypatch):
+    def one_ulp_off(x, w, k):
+        out = svga_block_forward(x, w, k)
+        out[0, 0, 0, 0] = np.nextafter(out[0, 0, 0, 0], np.inf)
+        return out
+
+    monkeypatch.setattr(gc, "svga_block_forward", one_ulp_off)
+    with pytest.raises(GradCheckError, match="forward diverged from block forward"):
+        grad_check_svga((1, 2, 3, 3), k=2, seed=0)
+
+
+def test_resample_margins(monkeypatch):
+    monkeypatch.setattr(gc, "TIE_MARGIN", 1e300)
+    # a 1x1 map folds over (0, 0) steps only, which have no tie margin, and
+    # identity activations have no GeLU margin
+    assert np.isfinite(grad_check_svga((1, 2, 1, 1), k=2, seed=0, identity_act=True))
+    with pytest.raises(GradCheckError, match="no input free of near-ties"):
+        grad_check_svga((1, 2, 1, 1), k=2, seed=0)
+    with pytest.raises(GradCheckError, match="no input free of near-ties"):
+        grad_check_svga((1, 2, 2, 2), k=1, seed=0, identity_act=True)

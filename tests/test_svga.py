@@ -66,6 +66,9 @@ def test_offsets_reject_bad_stride():
         build_fixed_offsets(4, 4, 0)
     with pytest.raises(ValueError):
         build_fixed_offsets(4, 4, -2)
+    for k in (0, -1):  # and the roll path's shifts, with the same message
+        with pytest.raises(ValueError, match="connection stride k must be >= 1"):
+            fold_shifts(4, 4, k)
 
 
 # ------------------------------------------------------- aggregation

@@ -1,5 +1,7 @@
+import ast
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -513,6 +515,20 @@ def test_gelu_float32_saturates_exactly_beyond_the_clamp(assert_bitwise):
                     np.finfo(np.float32).max], np.float32)
     assert_bitwise(gelu(big), big)
     assert_bitwise(gelu(-big), np.full(big.shape, -0.0, np.float32))
+
+
+def test_fit_gelu_reproduces_the_kernel_constants(run_with_blas_threads):
+    # the tool repoints tensor_core's constants while it fits, so it runs in
+    # a process of its own
+    tool = Path(__file__).resolve().parents[1] / "tools" / "fit_gelu.py"
+    out = run_with_blas_threads(
+        f"import runpy; runpy.run_path({str(tool)!r}, run_name='__main__')", 1)
+    printed = dict(line.split(": ", 1) for line in out.splitlines())
+    p_line = next(v for name, v in printed.items() if name.startswith("P "))
+    q_line = next(v for name, v in printed.items() if name.startswith("Q "))
+    assert ast.literal_eval(p_line) == tuple(float(v) for v in tensor_core._GELU_P)
+    assert ast.literal_eval(q_line) == tuple(float(v) for v in tensor_core._GELU_Q)
+    assert float(printed["clamp"]) == tensor_core._GELU_CLAMP
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
