@@ -75,10 +75,13 @@ class ModelWeights:
 def _trunc_normal(rng: np.random.Generator, shape: tuple[int, ...],
                   std: float = INIT_STD) -> Array:
     vals = rng.standard_normal(shape)
-    mask = np.abs(vals) > INIT_BOUND
-    while mask.any():
-        vals[mask] = rng.standard_normal(int(mask.sum()))
-        mask = np.abs(vals) > INIT_BOUND
+    # redraw only the positions still out of range, in ascending order: the
+    # same draws as a whole-array mask loop, so seeded weights keep their bits
+    flat = vals.reshape(-1)
+    idx = np.flatnonzero(np.abs(flat) > INIT_BOUND)
+    while idx.size:
+        flat[idx] = rng.standard_normal(idx.size)
+        idx = idx[np.abs(flat[idx]) > INIT_BOUND]
     vals *= std
     return vals.astype(np.float32)
 
@@ -178,10 +181,11 @@ def downsample_forward(x: Array, w: tuple[ConvBn, ...]) -> Array:
     return conv_bn(x, *w)
 
 
-def model_forward_with_stages(x: Array, weights: ModelWeights,
-                              cfg: VariantConfig) -> tuple[Array, list[Array]]:
-    """Returns (logits, per-stage feature maps): the activations that enter
-    each downsample and the head."""
+def forward_entries(x: Array, weights: ModelWeights, cfg: VariantConfig):
+    """The one walk over the network: yields (layer, t) after each
+    layer_plan entry, where t is that entry's output; the head entry's is
+    its map before the pool. The variant and the input shape are checked
+    before the first yield, so bad input raises on the first next()."""
     _require(weights.variant == cfg.name,
              f"weights are for variant {weights.variant!r}, config is {cfg.name!r}")
     _require(x.ndim == 4 and x.shape[1] == 3,
@@ -189,12 +193,9 @@ def model_forward_with_stages(x: Array, weights: ModelWeights,
     _require(x.shape[2] % 32 == 0 and x.shape[3] % 32 == 0,
              f"input dims must be divisible by 32, got {x.shape[2]}x{x.shape[3]}")
     t = x
-    stage_outputs = []
     # blocks are looked up as module globals at call time, so a patched
     # name (the benchmark's tracer wraps them) is the one that runs
     for layer, block in zip(layer_plan(cfg), weights.blocks, strict=True):
-        if layer.kind in ("downsample", "head"):
-            stage_outputs.append(t)
         if layer.kind == "stem":
             t = stem_forward(t, block)
         elif layer.kind == "mbconv":
@@ -205,6 +206,19 @@ def model_forward_with_stages(x: Array, weights: ModelWeights,
             t = svga_block_forward(t, block, cfg.k)
         else:
             t = gelu(conv_bn(t, *block))
+        yield layer, t
+
+
+def model_forward_with_stages(x: Array, weights: ModelWeights,
+                              cfg: VariantConfig) -> tuple[Array, list[Array]]:
+    """Returns (logits, per-stage feature maps): the activations that enter
+    each downsample and the head."""
+    t = x
+    stage_outputs = []
+    for layer, out in forward_entries(x, weights, cfg):
+        if layer.kind in ("downsample", "head"):
+            stage_outputs.append(t)
+        t = out
     pooled = global_avg_pool(t)
     logits = linear(pooled, weights.head_weight, weights.head_bias)
     return logits, stage_outputs

@@ -175,7 +175,8 @@ def _cmd_verify(args) -> int:
     if args.json_path:
         doc = {"seed": seed, "suites": [
             {"name": r.name, "ok": r.ok, "detail": r.detail, "seconds": seconds,
-             "counterexample": r.counterexample} for r, seconds in results]}
+             "measured": r.measured, "counterexample": r.counterexample}
+            for r, seconds in results]}
         _write_json(args.json_path, doc)
     return 0 if all(r.ok for r, _ in results) else 1
 

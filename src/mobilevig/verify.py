@@ -42,6 +42,9 @@ class PropertyResult:
     ok: bool
     detail: str
     counterexample: dict = field(default_factory=dict)
+    # wall-clock readings, kept out of detail so that equal trees and seeds
+    # give equal details
+    measured: dict = field(default_factory=dict)
 
 
 def _first_mismatch(a: Array, b: Array, differ: Array | None = None) -> dict:
@@ -222,8 +225,8 @@ def run_knn_suite(seed: int = 0, seeds: int = KNN_SEEDS) -> PropertyResult:
 
     small_ns, big_ns = _knn_cost_medians_ns(seed)
     ratio = big_ns / small_ns
+    small_ms, big_ms = small_ns / 1e6, big_ns / 1e6
     if ratio <= 3.0:
-        small_ms, big_ms = small_ns / 1e6, big_ns / 1e6
         return PropertyResult(
             "knn-cost-growth", False,
             f"14x14 vs 7x7 graph construction ratio {ratio:.2f} <= 3 "
@@ -233,7 +236,8 @@ def run_knn_suite(seed: int = 0, seeds: int = KNN_SEEDS) -> PropertyResult:
     return PropertyResult(
         "knn-graph", True,
         f"{seeds} exact-reference cases exact; fixed-adjacency bitwise; "
-        f"cost ratio {ratio:.1f}x")
+        "cost ratio > 3",
+        measured={"ratio": ratio, "median_7x7_ms": small_ms, "median_14x14_ms": big_ms})
 
 
 def _knn_cost_medians_ns(seed: int) -> tuple[int, int]:

@@ -1,16 +1,12 @@
 """Shared test fixtures."""
 
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import mobilevig
-
-_SRC = str(Path(mobilevig.__file__).resolve().parents[1])
+from helpers import child_env
 
 
 @pytest.fixture
@@ -22,10 +18,8 @@ def run_with_blas_threads():
     process's stdout; a non-zero exit fails the test with its stderr.
     """
     def run(source: str, threads: int) -> str:
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, env.get("PYTHONPATH")) if p)
-        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-            env[var] = str(threads)
+        env = child_env(**{var: str(threads) for var in
+                           ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
         proc = subprocess.run([sys.executable, "-c", source], env=env,
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr

@@ -18,6 +18,8 @@ from mobilevig.verify import (
     run_oracle_suite,
 )
 
+from helpers import child_env
+
 PARAM_TARGETS = {"Ti": 5.2e6, "S": 7.2e6, "M": 14.0e6, "B": 26.7e6}
 MAC_TARGETS = {"Ti": 0.7e9, "S": 1.0e9, "M": 1.5e9, "B": 2.8e9}
 
@@ -109,7 +111,7 @@ def test_criterion_8_determinism_and_persistence(tmp_path):
         out = tmp_path / f"{len(list(tmp_path.iterdir()))}.json"
         cmd = [sys.executable, "-m", "mobilevig", "forward", "--variant", "Ti",
                "--size", "96", "--seed", "11", "--json", str(out)] + extra
-        proc = subprocess.run(cmd, capture_output=True, text=True)
+        proc = subprocess.run(cmd, capture_output=True, text=True, env=child_env())
         assert proc.returncode == 0, proc.stderr
         return json.loads(out.read_text())["logits"]
 

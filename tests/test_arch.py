@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from mobilevig.arch import (
     count_macs,
     count_params,
     downsample_forward,
+    forward_entries,
     get_variant,
     layer_plan,
     layer_shapes,
@@ -22,7 +24,8 @@ from mobilevig.arch import (
     stem_forward,
     _trunc_normal,
 )
-from mobilevig.tensor_core import ConvSpec
+from mobilevig.svga import svga_block_forward
+from mobilevig.tensor_core import ConvSpec, conv_bn, gelu, global_avg_pool, linear
 from mobilevig.weights_io import load_into_model, save_weights
 
 from helpers import identity_conv_bn
@@ -257,41 +260,85 @@ def test_blocks_are_conv_bn_tuples_in_plan_order(tmp_path, name):
 
 
 @pytest.mark.parametrize("name", list(VARIANTS))
-def test_layer_plan_matches_forward(monkeypatch, name):
-    # the forward takes its block kinds from the plan; this checks that each
-    # block is looked up as a module global at call time (the benchmark's
-    # tracer patches those names), is given its own plan entry's weights and
-    # gives the output shape layer_shapes predicts, and that the stage maps
-    # are the maps entering each downsample and the head
+def test_layer_plan_matches_forward(monkeypatch, assert_bitwise, name):
+    # forward_entries yields one output per plan entry: its block forward on
+    # the previous entry's output and its own weights, bit for bit, with the
+    # shape layer_shapes predicts. Blocks are looked up as module globals at
+    # call time (the benchmark's tracer patches those names), shown here for
+    # mbconv_forward. The stage maps are the maps entering each downsample
+    # and the head, and the logits pool the head entry's map.
     cfg = VARIANTS[name]
     w = build_model(cfg, 0)
-    seen = []
-    seen_weights = []
+    x = rand((1, 3, 64, 64), seed=3)
+    logits, stages = model_forward_with_stages(x, w, cfg)
+    mbconv_weights = []
 
-    def recorder(kind, fn):
-        def record(x, p, *rest):
-            out = fn(x, p, *rest)
-            seen.append((kind, out.shape))
-            seen_weights.append(p)
-            return out
-        return record
+    def record(t, p):
+        mbconv_weights.append(p)
+        return mbconv_forward(t, p)
 
-    for kind, attr in (("stem", "stem_forward"), ("mbconv", "mbconv_forward"),
-                       ("downsample", "downsample_forward"), ("svga", "svga_block_forward")):
-        monkeypatch.setattr(arch, attr, recorder(kind, getattr(arch, attr)))
-    _, stages = model_forward_with_stages(rand((1, 3, 64, 64), seed=3), w, cfg)
+    monkeypatch.setattr(arch, "mbconv_forward", record)
+    entries = list(forward_entries(x, w, cfg))
     shapes = layer_shapes(cfg, 64, 64)
-    out_shapes = [(1, layer.convs[-1][1].out_channels, *hw) for layer, _, hw in shapes]
-    assert seen == [(layer.kind, out) for (layer, _, _), out in zip(shapes, out_shapes)
-                    if layer.kind != "head"]
-    # every block but the head (the last entry) was given its own weights
-    assert [id(p) for p in seen_weights] == [id(block) for block in w.blocks[:-1]]
-    entering = [i - 1 for i, (layer, _, _) in enumerate(shapes)
+    assert [layer for layer, _ in entries] == [layer for layer, _, _ in shapes]
+    assert [id(p) for p in mbconv_weights] == [
+        id(block) for (layer, _), block in zip(entries, w.blocks) if layer.kind == "mbconv"]
+    block_forward = {
+        "stem": stem_forward,
+        "mbconv": mbconv_forward,
+        "downsample": downsample_forward,
+        "svga": lambda t, p: svga_block_forward(t, p, cfg.k),
+        "head": lambda t, p: gelu(conv_bn(t, *p)),
+    }
+    t = x
+    for (layer, out), (_, _, hw), block in zip(entries, shapes, w.blocks, strict=True):
+        assert out.shape == (1, layer.convs[-1][1].out_channels, *hw)
+        assert_bitwise(out, block_forward[layer.kind](t, block))
+        t = out
+    entering = [entries[i - 1] for i, (layer, _) in enumerate(entries)
                 if layer.kind in ("downsample", "head")]
-    assert [shapes[i][0].kind for i in entering] == ["mbconv"] * 3 + ["svga"]
-    assert [t.shape for t in stages] == [out_shapes[i] for i in entering]
-    assert shapes[-1][0].kind == "head"
+    assert [layer.kind for layer, _ in entering] == ["mbconv"] * 3 + ["svga"]
+    assert len(stages) == len(entering)
+    for stage, (_, t) in zip(stages, entering):
+        assert_bitwise(stage, t)
+    assert_bitwise(logits, linear(global_avg_pool(entries[-1][1]), w.head_weight, w.head_bias))
+    assert entries[-1][0].kind == "head"
     assert count_macs(cfg, 64, 64) == sum(macs for _, macs, _ in shapes)
+
+
+@pytest.mark.parametrize("weights_variant,shape,match", [
+    ("B", (1, 3, 64, 64), "'B'.*'Ti'"),
+    ("Ti", (1, 1, 64, 64), r"input must be \(n, 3, h, w\)"),
+    ("Ti", (1, 3, 64), r"input must be \(n, 3, h, w\)"),
+    ("Ti", (1, 3, 64, 80), "divisible by 32"),
+])
+def test_forward_entries_rejects_bad_input_on_first_next(weights_variant, shape, match):
+    # creating the generator checks nothing; the first next() raises before
+    # any block runs
+    entries = forward_entries(np.zeros(shape, np.float32),
+                              build_model(VARIANTS[weights_variant], skeleton=True),
+                              VARIANTS["Ti"])
+    with pytest.raises(ValueError, match=match):
+        next(entries)
+
+
+@pytest.mark.parametrize("n", [0, 1, 4, 16])
+def test_forward_entries_runs_only_the_entries_taken(monkeypatch, n):
+    # Ti's plan has 17 entries; the first 16 end with its two SVGA blocks
+    cfg = VARIANTS["Ti"]
+    w = build_model(cfg, 0)
+    forward_of = {"stem": "stem_forward", "mbconv": "mbconv_forward",
+                  "downsample": "downsample_forward", "svga": "svga_block_forward"}
+    calls = []
+    for attr in forward_of.values():
+        def record(*args, _attr=attr, _fn=getattr(arch, attr)):
+            calls.append(_attr)
+            return _fn(*args)
+        monkeypatch.setattr(arch, attr, record)
+    taken = list(itertools.islice(forward_entries(rand((1, 3, 64, 64)), w, cfg), n))
+    kinds = [layer.kind for layer in layer_plan(cfg)[:n]]
+    assert [layer.kind for layer, _ in taken] == kinds
+    assert calls == [forward_of[kind] for kind in kinds]
 
 
 def test_layer_plan_is_built_once_and_immutable():
@@ -354,14 +401,16 @@ def test_get_variant_error():
 
 
 def test_trunc_normal_in_place_scale_matches_allocating_bitwise():
-    shape = (300, 70)
-    got = _trunc_normal(np.random.default_rng(3), shape)
-    rng = np.random.default_rng(3)
-    vals = rng.standard_normal(shape)
-    mask = np.abs(vals) > INIT_BOUND
-    while mask.any():
-        vals[mask] = rng.standard_normal(int(mask.sum()))
+    # the reference redraws with a whole-array mask every round; the head's
+    # classifier shape is among the inputs
+    for shape, seed in itertools.product([(300, 70), (1000, 1024)], [0, 1, 2, 3]):
+        got = _trunc_normal(np.random.default_rng(seed), shape)
+        rng = np.random.default_rng(seed)
+        vals = rng.standard_normal(shape)
         mask = np.abs(vals) > INIT_BOUND
-    want = (vals * INIT_STD).astype(np.float32)
-    assert got.dtype == np.float32
-    assert np.array_equal(got, want)
+        while mask.any():
+            vals[mask] = rng.standard_normal(int(mask.sum()))
+            mask = np.abs(vals) > INIT_BOUND
+        want = (vals * INIT_STD).astype(np.float32)
+        assert got.dtype == np.float32
+        assert np.array_equal(got, want)

@@ -63,6 +63,20 @@ def test_verify_reports_each_suite_wall_time(capsys, tmp_path):
     assert isinstance(suite["seconds"], float) and suite["seconds"] >= 0.0
 
 
+def test_verify_json_writes_measured_readings(capsys, tmp_path, monkeypatch):
+    # the knn suite's cost medians and ratio go to "measured"; a suite that
+    # times nothing writes an empty object
+    monkeypatch.setattr(verify, "time_once_ns",
+                        lambda step: {7: 1_000_000, 14: 5_000_000}[step.args[0].shape[2]])
+    out_json = tmp_path / "verify.json"
+    for suite in ("knn", "oracle"):
+        assert main(["verify", "--suite", suite, "--seed", "0", "--json", str(out_json)]) == 0
+        [doc] = json.loads(out_json.read_text())["suites"]
+        assert list(doc) == ["name", "ok", "detail", "seconds", "measured", "counterexample"]
+        assert doc["measured"] == ({"ratio": 5.0, "median_7x7_ms": 1.0, "median_14x14_ms": 5.0}
+                                   if suite == "knn" else {})
+
+
 def test_bench_reports_and_files(capsys, tmp_path):
     out_json = tmp_path / "bench.json"
     out_csv = tmp_path / "bench.csv"

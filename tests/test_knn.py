@@ -419,6 +419,20 @@ def test_cost_growth_failure_reports_both_medians(monkeypatch):
                                 "median_14x14_ms": 2.0, "seed": 0}
 
 
+def test_cost_growth_pass_keeps_the_readings_out_of_the_detail(monkeypatch):
+    # 1 ms per 7x7 graph and 4 ms per 14x14 graph: ratio 4, over the bound
+    def fixed_time(step):
+        return {7: 1_000_000, 14: 4_000_000}[step.args[0].shape[2]]
+
+    monkeypatch.setattr(verify, "time_once_ns", fixed_time)
+    r = verify.run_knn_suite(seed=0, seeds=1)
+    assert (r.name, r.ok) == ("knn-graph", True)
+    assert r.detail == ("1 exact-reference cases exact; fixed-adjacency bitwise; "
+                        "cost ratio > 3")
+    assert r.measured == {"ratio": 4.0, "median_7x7_ms": 1.0, "median_14x14_ms": 4.0}
+    assert r.counterexample == {}
+
+
 def test_fixed_adjacency_bridge_compares_bit_patterns(monkeypatch):
     # -0 == +0, so only a compare of bit patterns sees this one flipped zero
     def one_zero_negated(x, adj):

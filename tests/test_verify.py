@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from mobilevig import svga, verify
 from mobilevig.grad_check import random_block_weights
@@ -120,3 +121,14 @@ def test_oracle_suite_with_one_image_sees_the_first_of_a_larger_draw(monkeypatch
     one, many = first[1], first[verify.ORACLE_IMAGES]
     assert len(one) == len(many) == 432
     assert all(np.array_equal(a, b) for a, b in zip(one, many))
+
+
+@pytest.mark.wallclock
+def test_suites_give_the_same_report_twice():
+    # wall-clock readings go to measured, so two runs of the same tree and
+    # seed agree on everything else
+    def report():
+        return [(r.name, r.ok, r.detail, r.counterexample)
+                for r in verify.run_suites(list(verify.SUITES), seed=0)]
+
+    assert report() == report()
