@@ -3,17 +3,16 @@
 Times only the aggregation step X_j: window minima over the fixed graph's
 shifts for the SVGA path, and graph construction + layout changes + gathers
 + max folding for the KNN baseline. The Grapher's projection conv, the same
-for both mechanisms, is not timed.
+for both mechanisms, is not timed. The two mechanisms' samples alternate
+(time_interleaved, the package's one sample loop).
 """
 
 from __future__ import annotations
 
-import csv
 import os
 import platform
 import subprocess
 import time
-from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -25,38 +24,6 @@ from .tensor_core import _openblas
 
 MIN_REPS = 30
 MIN_WARMUP = 5
-
-
-@dataclass
-class BenchRecord:
-    mechanism: str  # "svga" or "knn"
-    h: int
-    w: int
-    c: int
-    k: int  # connection stride for svga, neighbor count for knn
-    batch: int
-    reps: int
-    median_ns: int
-    p10_ns: int
-    p90_ns: int
-
-
-@dataclass
-class BenchReport:
-    records: list[BenchRecord]
-    env: dict
-
-    def to_dict(self) -> dict:
-        return {"env": dict(self.env), "records": [asdict(r) for r in self.records]}
-
-    def write_csv(self, path: str) -> None:
-        fields = ["mechanism", "h", "w", "c", "k", "batch", "reps",
-                  "median_ns", "p10_ns", "p90_ns"]
-        with open(path, "w", newline="") as f:
-            writer = csv.DictWriter(f, fieldnames=fields)
-            writer.writeheader()
-            for r in self.records:
-                writer.writerow(asdict(r))
 
 
 def _cpu_model() -> str | None:
@@ -104,8 +71,8 @@ def environment() -> dict:
 
 def aggregation_step(mechanism: str, h: int, w: int, c: int, k: int,
                      batch: int = 1, seed: int = 0) -> Callable[[], np.ndarray]:
-    """The operation time_aggregation times, on its seeded input: x is the
-    first draw of a generator keyed by seed."""
+    """The operation run_bench times for one mechanism, on its seeded input:
+    x is the first draw of a generator keyed by seed."""
     if mechanism not in ("svga", "knn"):
         raise ValueError(f"unknown mechanism {mechanism!r}")
     x = np.random.default_rng(seed).standard_normal((batch, c, h, w)).astype(np.float32)
@@ -125,28 +92,37 @@ def percentiles_ns(times) -> tuple[int, int, int]:
     return tuple(int(np.percentile(times, q, method="nearest")) for q in (50, 10, 90))
 
 
-def time_aggregation(mechanism: str, h: int, w: int, c: int, k: int,
-                     batch: int = 1, reps: int = 100, warmup: int = 10,
-                     seed: int = 0) -> BenchRecord:
+def time_interleaved(steps: list[Callable[[], object]], reps: int,
+                     warmup: int) -> list[list[int]]:
+    """Wall-clock samples of each step, in ns: `warmup` untimed rounds and
+    then `reps` timed rounds, the steps taking turns in every round, so
+    that a burst of host load slows samples of each step rather than all
+    of one."""
+    for _ in range(warmup):
+        for step in steps:
+            step()
+    samples = [[] for _ in steps]
+    for _ in range(reps):
+        for step, times in zip(steps, samples):
+            times.append(time_once_ns(step))
+    return samples
+
+
+def run_bench(h: int, w: int, c: int, svga_k: int = 2, knn_k: int = 9,
+              batch: int = 1, reps: int = 100, warmup: int = 10,
+              seed: int = 0) -> dict:
+    """Times the svga and the knn aggregation, interleaved, and returns
+    {"env": environment(), "records": [one dict per mechanism, svga first]}."""
     if reps < MIN_REPS:
         raise ValueError(f"reps must be >= {MIN_REPS}, got {reps}")
     if warmup < MIN_WARMUP:
         raise ValueError(f"warmup must be >= {MIN_WARMUP}, got {warmup}")
-    step = aggregation_step(mechanism, h, w, c, k, batch, seed)
-    for _ in range(warmup):
-        step()
-    times = [time_once_ns(step) for _ in range(reps)]
-    med, p10, p90 = percentiles_ns(times)
-    return BenchRecord(mechanism=mechanism, h=h, w=w, c=c, k=k, batch=batch,
-                       reps=reps, median_ns=med, p10_ns=p10, p90_ns=p90)
-
-
-def run_bench(mechanisms: list[str], h: int, w: int, c: int, svga_k: int = 2,
-              knn_k: int = 9, batch: int = 1, reps: int = 100, warmup: int = 10,
-              seed: int = 0) -> BenchReport:
+    ks = {"svga": svga_k, "knn": knn_k}
+    steps = [aggregation_step(mech, h, w, c, k, batch, seed) for mech, k in ks.items()]
     records = []
-    for mech in mechanisms:
-        k = svga_k if mech == "svga" else knn_k
-        records.append(time_aggregation(
-            mech, h, w, c, k, batch=batch, reps=reps, warmup=warmup, seed=seed))
-    return BenchReport(records=records, env=environment())
+    for (mech, k), times in zip(ks.items(), time_interleaved(steps, reps, warmup)):
+        med, p10, p90 = percentiles_ns(times)
+        records.append({"mechanism": mech, "h": h, "w": w, "c": c, "k": k,
+                        "batch": batch, "reps": reps,
+                        "median_ns": med, "p10_ns": p10, "p90_ns": p90})
+    return {"env": environment(), "records": records}

@@ -85,12 +85,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run property suites")
     p.add_argument("--suite", default="all",
-                   choices=["all", "oracle", "equivariance", "grad", "knn"])
+                   choices=["all", *SUITES])
     p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--json", dest="json_path")
 
     p = sub.add_parser("bench", help="time the aggregation mechanisms")
-    p.add_argument("--mechanism", default="both", choices=["svga", "knn", "both"])
     p.add_argument("--size", type=_size_pair, default=(14, 14),
                    help="spatial size, N or HxW")
     p.add_argument("--channels", type=_positive_int, default=256)
@@ -103,7 +102,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--warmup", type=_positive_int, default=10)
     p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--json", dest="json_path")
-    p.add_argument("--csv", dest="csv_path")
 
     p = sub.add_parser("forward", help="run a model forward pass")
     p.add_argument("--variant", required=True)
@@ -182,22 +180,18 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    mechanisms = ["svga", "knn"] if args.mechanism == "both" else [args.mechanism]
     seed = args.seed if args.seed is not None else _default_seed()
     h, w = args.size
-    report = run_bench(
-        mechanisms, h, w, args.channels, svga_k=args.k, knn_k=args.knn_k,
-        batch=args.batch, reps=args.reps, warmup=args.warmup, seed=seed)
+    report = run_bench(h, w, args.channels, svga_k=args.k, knn_k=args.knn_k,
+                       batch=args.batch, reps=args.reps, warmup=args.warmup, seed=seed)
     print(f"{'mechanism':<10} {'h':>4} {'w':>4} {'c':>5} {'k':>3} {'batch':>5} "
           f"{'median':>12} {'p10':>12} {'p90':>12}")
-    for r in report.records:
-        print(f"{r.mechanism:<10} {r.h:>4} {r.w:>4} {r.c:>5} {r.k:>3} {r.batch:>5} "
-              f"{r.median_ns / 1e6:>10.3f}ms {r.p10_ns / 1e6:>10.3f}ms "
-              f"{r.p90_ns / 1e6:>10.3f}ms")
+    for r in report["records"]:
+        print(f"{r['mechanism']:<10} {r['h']:>4} {r['w']:>4} {r['c']:>5} {r['k']:>3} "
+              f"{r['batch']:>5} {r['median_ns'] / 1e6:>10.3f}ms "
+              f"{r['p10_ns'] / 1e6:>10.3f}ms {r['p90_ns'] / 1e6:>10.3f}ms")
     if args.json_path:
-        _write_json(args.json_path, report.to_dict())
-    if args.csv_path:
-        report.write_csv(args.csv_path)
+        _write_json(args.json_path, report)
     return 0
 
 

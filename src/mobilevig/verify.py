@@ -13,7 +13,7 @@ from functools import partial
 
 import numpy as np
 
-from .bench import percentiles_ns, time_once_ns
+from .bench import percentiles_ns, time_interleaved
 from .grad_check import grad_check_svga, random_block_weights
 from .knn import adjacency_from_fixed_graph, knn_aggregate, knn_graph
 from .svga import build_fixed_offsets, gather_aggregate, mrconv_aggregate, svga_block_forward
@@ -241,20 +241,14 @@ def run_knn_suite(seed: int = 0, seeds: int = KNN_SEEDS) -> PropertyResult:
 
 
 def _knn_cost_medians_ns(seed: int) -> tuple[int, int]:
-    # median 7x7 and 14x14 knn_graph times; the two sizes alternate, so a
-    # burst of host load slows samples of both rather than all of one
+    # median 7x7 and 14x14 knn_graph times, the two sizes interleaved
     rng = np.random.default_rng([seed, 14])
     c = 16
     small = rng.standard_normal((1, c, 7, 7)).astype(np.float32)
     big = rng.standard_normal((1, c, 14, 14)).astype(np.float32)
     steps = [partial(knn_graph, x, 9) for x in (small, big)]
-    for step in steps:
-        step()  # warm-up
-    samples = ([], [])
-    for _ in range(15):
-        for step, times in zip(steps, samples):
-            times.append(time_once_ns(step))
-    return tuple(percentiles_ns(times)[0] for times in samples)
+    return tuple(percentiles_ns(times)[0]
+                 for times in time_interleaved(steps, reps=15, warmup=1))
 
 
 SUITES = {

@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from mobilevig import verify
+from mobilevig import bench, verify
 from mobilevig.arch import build_model, get_variant
 from mobilevig.cli import load_ppm, main
 from mobilevig.weights_io import save_weights
@@ -66,7 +66,7 @@ def test_verify_reports_each_suite_wall_time(capsys, tmp_path):
 def test_verify_json_writes_measured_readings(capsys, tmp_path, monkeypatch):
     # the knn suite's cost medians and ratio go to "measured"; a suite that
     # times nothing writes an empty object
-    monkeypatch.setattr(verify, "time_once_ns",
+    monkeypatch.setattr(bench, "time_once_ns",
                         lambda step: {7: 1_000_000, 14: 5_000_000}[step.args[0].shape[2]])
     out_json = tmp_path / "verify.json"
     for suite in ("knn", "oracle"):
@@ -79,19 +79,30 @@ def test_verify_json_writes_measured_readings(capsys, tmp_path, monkeypatch):
 
 def test_bench_reports_and_files(capsys, tmp_path):
     out_json = tmp_path / "bench.json"
-    out_csv = tmp_path / "bench.csv"
-    rc = main(["bench", "--mechanism", "both", "--size", "7", "--channels", "8",
+    rc = main(["bench", "--size", "7", "--channels", "8",
                "--reps", "30", "--warmup", "5", "--seed", "1",
-               "--json", str(out_json), "--csv", str(out_csv)])
+               "--json", str(out_json)])
     assert rc == 0
     doc = json.loads(out_json.read_text())
     assert {r["mechanism"] for r in doc["records"]} == {"svga", "knn"}
     for r in doc["records"]:
         assert r["reps"] == 30
         assert r["p10_ns"] <= r["median_ns"] <= r["p90_ns"]
-    lines = out_csv.read_text().strip().splitlines()
-    assert lines[0].startswith("mechanism,h,w,c,k,batch,reps")
-    assert len(lines) == 3
+
+
+def test_bench_alternates_the_mechanisms(monkeypatch):
+    # svga and knn take turns through warm-up and samples, so that host load
+    # lands on both; the records keep their keys and come svga first
+    calls = []
+    monkeypatch.setattr(bench, "mrconv_aggregate", lambda x, k: calls.append("svga"))
+    monkeypatch.setattr(bench, "knn_graph", lambda x, k: calls.append("knn"))
+    monkeypatch.setattr(bench, "knn_aggregate", lambda x, adj: None)
+    report = bench.run_bench(7, 7, 8, svga_k=2, knn_k=9, reps=30, warmup=5)
+    assert calls == ["svga", "knn"] * 35
+    assert [(r["mechanism"], r["k"]) for r in report["records"]] == [("svga", 2), ("knn", 9)]
+    for r in report["records"]:
+        assert list(r) == ["mechanism", "h", "w", "c", "k", "batch", "reps",
+                           "median_ns", "p10_ns", "p90_ns"]
 
 
 def test_bench_env_records_settings_in_effect(capsys, monkeypatch, tmp_path):
@@ -102,7 +113,7 @@ def test_bench_env_records_settings_in_effect(capsys, monkeypatch, tmp_path):
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.setenv(var, "4")  # restored after the test
     out_json = tmp_path / "bench.json"
-    assert main(["bench", "--mechanism", "knn", "--size", "7", "--channels", "8",
+    assert main(["bench", "--size", "7", "--channels", "8",
                  "--reps", "30", "--warmup", "5", "--json", str(out_json)]) == 0
     env = json.loads(out_json.read_text())["env"]
     assert set(env) == {"blas", "blas_in_force", "thread_vars", "cpu_model",
@@ -125,7 +136,7 @@ def test_bench_env_records_settings_in_effect(capsys, monkeypatch, tmp_path):
     assert env["python"] == platform.python_version()
 
 
-@pytest.mark.parametrize("flag", ["--threads", "--include-projection"])
+@pytest.mark.parametrize("flag", ["--threads", "--include-projection", "--csv", "--mechanism"])
 def test_bench_rejects_removed_flag(flag, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bench", flag])
@@ -150,7 +161,7 @@ def test_bench_rejects_nonpositive_size(capsys, size):
 @pytest.mark.wallclock
 def test_bench_median_stable_when_reps_double(run_with_blas_threads):
     # measured in a new process with BLAS on one thread; the 30-rep and the
-    # 60-rep measurement of time_aggregation's operation are interleaved
+    # 60-rep measurement of run_bench's knn operation are interleaved
     # after a warm-up, so drift in the host's speed over the run reaches both
     # alike
     out = run_with_blas_threads("""
@@ -203,6 +214,14 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
     assert rc == 1
     assert "FAIL gradient-check" in captured.out
     assert "counterexample" in captured.err
+
+
+def test_verify_suite_choices_follow_the_suite_table(capsys, monkeypatch):
+    # --suite accepts every name in verify.SUITES, with no copy of the list
+    monkeypatch.setitem(verify.SUITES, "dummy",
+                        lambda seed=0: verify.PropertyResult("dummy", True, "ran"))
+    assert main(["verify", "--suite", "dummy", "--seed", "0"]) == 0
+    assert re.fullmatch(r"PASS dummy: ran \(\d+\.\d\d s\)\n", capsys.readouterr().out)
 
 
 def test_forward_deterministic_and_seed_env(capsys, tmp_path, monkeypatch):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mobilevig import knn, verify
+from mobilevig import bench, knn, verify
 from mobilevig.knn import (
     KnnAdjacency,
     adjacency_from_fixed_graph,
@@ -410,7 +410,7 @@ def test_cost_growth_failure_reports_both_medians(monkeypatch):
     def fixed_time(step):
         return {7: 1_000_000, 14: 2_000_000}[step.args[0].shape[2]]
 
-    monkeypatch.setattr(verify, "time_once_ns", fixed_time)
+    monkeypatch.setattr(bench, "time_once_ns", fixed_time)
     r = verify.run_knn_suite(seed=0, seeds=1)
     assert (r.name, r.ok) == ("knn-cost-growth", False)
     assert r.detail == ("14x14 vs 7x7 graph construction ratio 2.00 <= 3 "
@@ -424,7 +424,7 @@ def test_cost_growth_pass_keeps_the_readings_out_of_the_detail(monkeypatch):
     def fixed_time(step):
         return {7: 1_000_000, 14: 4_000_000}[step.args[0].shape[2]]
 
-    monkeypatch.setattr(verify, "time_once_ns", fixed_time)
+    monkeypatch.setattr(bench, "time_once_ns", fixed_time)
     r = verify.run_knn_suite(seed=0, seeds=1)
     assert (r.name, r.ok) == ("knn-graph", True)
     assert r.detail == ("1 exact-reference cases exact; fixed-adjacency bitwise; "
