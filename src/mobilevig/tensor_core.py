@@ -34,7 +34,12 @@ Float32 GeLU is x * Phi(x) with Phi a clamped rational function,
 Phi(x) = 0.5 + xc * P(xc^2) / Q(xc^2), P monic of degree 6 and Q of degree
 3, evaluated in 24 in-place ufunc passes per block. The clamp is a float32
 near 4 sqrt 2 at which Phi comes out exactly 0 and 1, so gelu(x) = x above
-it and -0.0 below its negative.
+it and -0.0 below its negative. Other dtypes take Phi(x) = 0.5 * (1 +
+erf(x / sqrt 2)) in float64, with erf from W. J. Cody's rational Chebyshev
+approximations (Math. Comp. 23, 1969) in numpy: at most 6 ulp from
+math.erf over the tested points, odd bit for bit, and run over fixed-size
+blocks like the float32 kernel, each element's op sequence chosen by its
+own value. The package needs numpy only.
 
 `conv_bn` folds inference batch norm into the conv weights and bias on every
 call, so a conv and its batch norm cost one pass over the output.
@@ -61,12 +66,12 @@ from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
-from scipy.special import erf
 
 Array = np.ndarray
 
 _INV_SQRT2 = 0.7071067811865476
 _INV_SQRT2PI = 0.3989422804014327
+_INV_SQRTPI = 0.5641895835477563
 
 # output pixels per GEMM call of a dense conv; fixed, never derived from the
 # pixel count, so that a pixel's result does not depend on the image size
@@ -85,10 +90,10 @@ _DW_BLOCK = 65536
 _DW_BUFSIZE = 512
 
 
-def _f32(v: float) -> Array:
-    # a read-only 0-d float32 array: as a ufunc operand it has less per-call
-    # overhead than a numpy scalar, which small GeLU calls notice
-    a = np.array(v, dtype=np.float32)
+def _const(v: float, dtype: type = np.float32) -> Array:
+    # a read-only 0-d array: as a ufunc operand it has less per-call
+    # overhead than a Python or numpy scalar, which small GeLU calls notice
+    a = np.array(v, dtype=dtype)
     a.flags.writeable = False
     return a
 
@@ -100,12 +105,12 @@ def _f32(v: float) -> Array:
 # float64 minimax of the GeLU error by tools/fit_gelu.py.
 _GELU_BLOCK = 65536
 _GELU_CLAMP = 5.656853675842285
-_GELU_P = tuple(_f32(v) for v in (
+_GELU_P = tuple(_const(v) for v in (
     -149.2367706298828, 8461.76171875, 96771.03125, 45655096.0,
     276220768.0, 5041446912.0))
-_GELU_Q = tuple(_f32(v) for v in (
+_GELU_Q = tuple(_const(v) for v in (
     12356146.0, 264278624.0, 2799209472.0, 12636824576.0))
-_HALF_F32 = _f32(0.5)
+_HALF_F32 = _const(0.5)
 
 
 @cache
@@ -118,6 +123,41 @@ def _gelu_bounds() -> tuple[Array, Array]:
     for b in bounds:
         b.flags.writeable = False
     return bounds
+
+
+def _ratio(num: tuple, den: tuple) -> tuple:
+    # R = num / den, coefficients highest degree first as 0-d arrays; den is
+    # monic, its leading 1 left out
+    return tuple(tuple(_const(v, np.float64) for v in c) for c in (num, den))
+
+
+# float64 erf: W. J. Cody's rational Chebyshev approximations (Math. Comp.
+# 23, 1969, as in his CALERF). erf(x) = x * R1(x^2) for |x| <= 0.46875;
+# above, erf(x) = sign(x) * (1 - erfc(|x|)), with erfc(y) = exp(-y^2) * R2(y)
+# up to 4 and exp(-y^2) * (1/sqrt(pi) - R3(1/y^2) / y^2) / y beyond. exp(-y^2)
+# is split as exp(-s^2) * exp(-(y - s) * (y + s)), s = y truncated to
+# sixteenths, so that the rounding of y^2 does not reach the exponent. |x| is
+# clamped to 6 first, where erf is 1 in float64, so no x * x overflows.
+# Elements per block, the range edges and the clamp, then R1, R2 and R3.
+_ERF_BLOCK = 65536
+_ERF_NEAR, _ERF_FAR, _ERF_CLAMP = 0.46875, 4.0, 6.0
+_ERF_R1 = _ratio(
+    (1.85777706184603153e-1, 3.16112374387056560e00, 1.13864154151050156e02,
+     3.77485237685302021e02, 3.20937758913846947e03),
+    (2.36012909523441209e01, 2.44024637934444173e02, 1.28261652607737228e03,
+     2.84423683343917062e03))
+_ERF_R2 = _ratio(
+    (2.15311535474403846e-8, 5.64188496988670089e-1, 8.88314979438837594e00,
+     6.61191906371416295e01, 2.98635138197400131e02, 8.81952221241769090e02,
+     1.71204761263407058e03, 2.05107837782607147e03, 1.23033935479799725e03),
+    (1.57449261107098347e01, 1.17693950891312499e02, 5.37181101862009858e02,
+     1.62138957456669019e03, 3.29079923573345963e03, 4.36261909014324716e03,
+     3.43936767414372164e03, 1.23033935480374942e03))
+_ERF_R3 = _ratio(
+    (1.63153871373020978e-2, 3.05326634961232344e-1, 3.60344899949804439e-1,
+     1.25781726111229246e-1, 1.60837851487422766e-2, 6.58749161529837803e-4),
+    (2.56852019228982242e00, 1.87295284992346725e00, 5.27905102951428412e-1,
+     6.05183413124413191e-2, 2.33520497626869185e-3))
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -175,7 +215,8 @@ def roll_2d(x: Array, down: int, right: int) -> Array:
 
 # the (prefix, suffix) of each OpenBLAS build's thread-count functions,
 # <prefix>_get_num_threads<suffix> and <prefix>_set_num_threads<suffix>:
-# plain, 64-bit int, and scipy's builds of both
+# plain, 64-bit int, and the scipy_openblas builds of both, which numpy's
+# own wheels ship
 _OPENBLAS_NAMES = tuple((p, s) for p in ("openblas", "scipy_openblas") for s in ("", "64_"))
 
 
@@ -407,20 +448,102 @@ def _gelu_float32(x: Array) -> Array:
     return out
 
 
+def _rational(z: Array, ratio: tuple, p: Array, q: Array) -> Array:
+    # num(z) / den(z) into p, through the scratch q, in Cody's op order
+    num, den = ratio
+    np.multiply(z, num[0], out=p)
+    for a in num[1:-1]:
+        p += a
+        p *= z
+    p += num[-1]
+    np.add(z, den[0], out=q)
+    q *= z
+    for b in den[1:-1]:
+        q += b
+        q *= z
+    q += den[-1]
+    p /= q
+    return p
+
+
+def _erfc_far(y: Array) -> Array:
+    # erfc(y) for _ERF_NEAR < y <= _ERF_CLAMP: R2 everywhere, R3 over it
+    # above _ERF_FAR, then the two exp factors
+    r, q = np.empty_like(y), np.empty_like(y)
+    _rational(y, _ERF_R2, r, q)
+    far = np.flatnonzero(y > _ERF_FAR)
+    if far.size:
+        yf = y[far]
+        z = 1.0 / (yf * yf)
+        r3 = _rational(z, _ERF_R3, np.empty_like(z), q[:far.size])
+        r3 *= z
+        r[far] = (_INV_SQRTPI - r3) / yf
+    s = np.multiply(y, 16.0, out=q)
+    np.trunc(s, out=s)
+    s *= 0.0625
+    d = np.subtract(s, y)  # -(y - s) * (y + s), exactly negated
+    d *= s + y
+    r *= np.exp(d, out=d)
+    np.multiply(s, s, out=s)
+    np.negative(s, out=s)
+    r *= np.exp(s, out=s)
+    return r
+
+
+def _erf(x: Array) -> Array:
+    """erf in float64 by Cody's approximations (see _ERF_R1): at most 6 ulp
+    from math.erf in the tests' sweeps and a 4 M-point search above
+    0.46875, where 1 - erfc cancels. Odd bit for bit, erf(-0.0) = -0.0,
+    erf(±inf) = ±1 and erf(nan) = nan, with no floating-point warning. The
+    kernel runs over fixed-size blocks, as _gelu_float32 does, with R1 on
+    every element and the erfc ranges on the elements above 0.46875 only:
+    each element's op sequence depends on its value alone."""
+    flat = np.asarray(x, dtype=np.float64).reshape(-1)
+    out = np.empty(np.shape(x))
+    out_flat = out.reshape(-1)
+    n = min(flat.size, _ERF_BLOCK)
+    y_buf, z_buf, q_buf = (np.empty(n) for _ in range(3))
+    for start in range(0, flat.size, _ERF_BLOCK):
+        xb = flat[start:start + _ERF_BLOCK]
+        m = xb.size
+        y, z, q = y_buf[:m], z_buf[:m], q_buf[:m]
+        np.abs(xb, out=y)
+        np.minimum(y, _ERF_CLAMP, out=y)
+        np.multiply(y, y, out=z)
+        e = _rational(z, _ERF_R1, out_flat[start:start + m], q)
+        e *= xb
+        near = np.flatnonzero(y > _ERF_NEAR)
+        if near.size:
+            c = _erfc_far(y[near])
+            np.subtract(0.5, c, out=c)
+            c += 0.5
+            e[near] = np.copysign(c, xb[near])
+    return out
+
+
+def _phi(x: Array) -> Array:
+    """Standard normal CDF, 0.5 * (1 + erf(x / sqrt 2)), computed in float64
+    and returned in x's float type: exactly 0 below -6 sqrt 2 and 1 above
+    6 sqrt 2."""
+    phi = _erf(np.multiply(x, _INV_SQRT2, dtype=np.float64))
+    phi += 1.0
+    phi *= 0.5
+    return phi.astype(np.result_type(x, 1.0), copy=False)
+
+
 def gelu(x: Array) -> Array:
     """GeLU, x * Phi(x), with Phi the standard normal CDF (erf form).
 
     float32: Phi from a clamped rational approximation (absolute GeLU error
     at most 2e-6 against float64), exactly 0 and 1 beyond the clamp, so
-    gelu(x) is x there and -0.0 below -clamp; other dtypes: exact erf. In
+    gelu(x) is x there and -0.0 below -clamp. Other dtypes: in float64, with
+    the erf of Cody's approximations (_erf, at most 6 ulp from math.erf). In
     every dtype gelu(+inf) = +inf, gelu(-inf) = -0.0 and gelu(nan) = nan,
     with no floating-point warning.
     """
     if getattr(x, "dtype", None) == np.float32:
         return _gelu_float32(np.asarray(x))
-    phi = erf(x * _INV_SQRT2)
-    phi += 1.0
-    phi *= 0.5
+    phi = _phi(x)
     # a finite stand-in for -inf, where Phi is exactly 0: the product is then
     # -0.0, where -inf * 0 would be nan with an invalid-value warning
     out = np.maximum(x, np.finfo(phi.dtype).min)
@@ -429,13 +552,15 @@ def gelu(x: Array) -> Array:
 
 
 def gelu_grad(x: Array) -> Array:
-    """Derivative of exact GeLU: Phi(x) + x * phi(x). It is 0 at -inf and 1
-    at +inf, with no floating-point warning; nan stays nan."""
+    """Derivative of exact GeLU: Phi(x) + x * phi(x), with the float64 Phi
+    of gelu (Cody's erf, at most 6 ulp from math.erf) in every dtype. It is
+    0 at -inf and 1 at +inf, with no floating-point warning; nan stays
+    nan."""
     # phi(40) underflows to 0 even in float64, so x * phi is the same ±0 with
     # x clamped there, and x * x cannot overflow nor inf * 0 give nan
     xc = np.clip(x, -40.0, 40.0)
     phi = np.exp(-0.5 * xc * xc) * _INV_SQRT2PI
-    return 0.5 * (1.0 + erf(x * _INV_SQRT2)) + xc * phi
+    return _phi(x) + xc * phi
 
 
 def concat_channels(a: Array, b: Array) -> Array:

@@ -1,10 +1,13 @@
 import json
 import re
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from helpers import child_env
 from mobilevig import bench, verify
 from mobilevig.arch import build_model, get_variant
 from mobilevig.cli import load_ppm, main
@@ -30,6 +33,18 @@ def test_describe_variant_b_stage4(capsys):
     assert rc == 0
     text = capsys.readouterr().out
     assert "464" in text and "SVGA" in text
+
+
+def test_cli_loads_no_scipy():
+    # the package needs numpy only; a new process shows what the CLI imports
+    source = ("import sys\n"
+              "from mobilevig.cli import main\n"
+              "rc = main(['describe', '--variant', 'Ti'])\n"
+              "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    proc = subprocess.run([sys.executable, "-c", source], env=child_env(),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
 
 
 def test_describe_rejects_bad_size(capsys):

@@ -1,11 +1,11 @@
 import ast
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.special import erf as scipy_erf
 
 from mobilevig import tensor_core
 from mobilevig.tensor_core import (
@@ -474,9 +474,13 @@ def test_gelu_matches_scalar_erf_reference():
         assert abs(g - ref) < 1e-12
 
 
+_math_erf = np.frompyfunc(math.erf, 1, 1)
+
+
 def _gelu_float64_reference(x):
+    # math.erf per element: independent of the package's own float64 erf
     x64 = np.asarray(x, dtype=np.float64)
-    return x64 * (0.5 * (1.0 + scipy_erf(x64 / math.sqrt(2.0))))
+    return x64 * (0.5 * (1.0 + _math_erf(x64 / math.sqrt(2.0)).astype(np.float64)))
 
 
 def test_gelu_float32_dense_sweep_error_bound():
@@ -519,6 +523,73 @@ def test_gelu_float32_bitwise_under_repacking():
     assert np.array_equal(pieces, whole.reshape(-1))
     per_item = np.concatenate([gelu(x[i:i + 1]) for i in range(x.shape[0])])
     assert np.array_equal(per_item, whole)
+
+
+def test_gelu_float64_bitwise_under_repacking():
+    # spans three block boundaries of the blocked float64 erf; magnitudes
+    # cycle through its three ranges and the clamp (x / sqrt 2 up to 0.46875,
+    # 4, 6 and beyond), so every piece below holds each of them
+    block = tensor_core._ERF_BLOCK
+    m = 3 * block // 5 + 4
+    rng = np.random.default_rng(28)
+    edges = np.sqrt(2.0) * np.array([0.0, 0.46875, 4.0, 6.0, 30.0])
+    cycle = np.arange(5 * m) % 4
+    mag = rng.uniform(edges[cycle], edges[cycle + 1])
+    x = (mag * rng.choice([-1.0, 1.0], size=mag.size)).reshape(5, 1, 1, m)
+    flat = x.reshape(-1)
+    cuts = [0, 4, block - 5, block + 5, 2 * block, 2 * block + 4, 3 * block - 8, flat.size]
+    for fn in (gelu, gelu_grad):
+        whole = fn(x)
+        pieces = np.concatenate([fn(flat[a:b]) for a, b in zip(cuts, cuts[1:])])
+        assert np.array_equal(pieces, whole.reshape(-1))
+        per_item = np.concatenate([fn(x[i:i + 1]) for i in range(x.shape[0])])
+        assert np.array_equal(per_item, whole)
+
+
+def _erf_test_points():
+    # a dense sweep of [-8, 8], tails to 40, each range edge and clamp with
+    # its two neighbours, subnormals, zero and 1e300; both signs
+    edges = [np.nextafter(e, d) for e in (0.46875, 4.0, 6.0) for d in (0.0, e, np.inf)]
+    sub = np.finfo(np.float64).smallest_subnormal
+    x = np.concatenate([
+        np.linspace(-8.0, 8.0, 1_600_001), np.linspace(8.0, 40.0, 3201), edges,
+        [sub, 3 * sub, 1e-310, np.finfo(np.float64).tiny, 1e-300, 1e300, 0.0]])
+    return np.concatenate([x, -x])
+
+
+def _quiet(fn, x):
+    # underflow is allowed: a subnormal input's square underflows to 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return fn(x)
+
+
+def test_float64_erf_within_8_ulp_of_math_erf(assert_bitwise):
+    # the largest error measured is 6 ulp, just above the 0.46875 edge where
+    # erf = 1 - erfc cancels (4 M random points there); the bound leaves
+    # 2 ulp of margin for math.erf's own rounding
+    x = _erf_test_points()
+    got = _quiet(tensor_core._erf, x)
+    want = _math_erf(x).astype(np.float64)
+    ulps = np.abs(got - want) / np.spacing(np.abs(want))
+    assert ulps.max() <= 8, f"{ulps.max()} ulp at x = {x[ulps.argmax()]!r}"
+    assert_bitwise(tensor_core._erf(-x), -got)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+    assert_bitwise(_quiet(tensor_core._erf, special), np.array([0.0, -0.0, 1.0, -1.0, np.nan]))
+
+
+def test_float64_phi_within_4_half_ulps_of_one_of_math_erf():
+    # Phi = 0.5 * (1 + erf(x / sqrt 2)); the largest error measured is
+    # 2 * 2^-53, the bound 4 * 2^-53
+    x = _erf_test_points()
+    got = _quiet(tensor_core._phi, x)
+    u = x * tensor_core._INV_SQRT2
+    want = 0.5 * (1.0 + _math_erf(u).astype(np.float64))
+    err = np.abs(got - want)
+    assert err.max() <= 4 * 2.0 ** -53, f"{err.max()} at x = {x[err.argmax()]!r}"
+    limits = _quiet(tensor_core._phi, np.array([np.inf, -np.inf, np.nan, -40.0, 40.0]))
+    assert np.array_equal(limits, [1.0, 0.0, np.nan, 0.0, 1.0], equal_nan=True)
 
 
 def test_gelu_float32_saturates_exactly_beyond_the_clamp(assert_bitwise):

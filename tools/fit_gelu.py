@@ -74,8 +74,8 @@ def fit(p_degree: int, q_degree: int):
 
 def use(p_coef, q_coef, clamp: float) -> None:
     """Point the float32 kernel at these constants."""
-    tensor_core._GELU_P = tuple(tensor_core._f32(v) for v in p_coef)
-    tensor_core._GELU_Q = tuple(tensor_core._f32(v) for v in q_coef)
+    tensor_core._GELU_P = tuple(tensor_core._const(v) for v in p_coef)
+    tensor_core._GELU_Q = tuple(tensor_core._const(v) for v in q_coef)
     tensor_core._GELU_CLAMP = clamp
     tensor_core._gelu_bounds.cache_clear()
 
