@@ -30,11 +30,13 @@ runs with numpy's ufunc buffer set to _DW_BUFSIZE elements, restored on
 exit: with the default buffer numpy copies each tap's per-channel weight
 broadcast through it whenever a map is shorter than the buffer.
 
-Float32 GeLU is x * Phi(x) with Phi a clamped rational function,
-Phi(x) = 0.5 + xc * P(xc^2) / Q(xc^2), P monic of degree 6 and Q of degree
-3, evaluated in 24 in-place ufunc passes per block. The clamp is a float32
-near 4 sqrt 2 at which Phi comes out exactly 0 and 1, so gelu(x) = x above
-it and -0.0 below its negative. Other dtypes take Phi(x) = 0.5 * (1 +
+Float32 GeLU is x * Phi(x) with Phi(x) = (1 + tanh(x * g(x^2))) / 2, the
+tanh form of Hendrycks & Gimpel (arXiv:1606.08415) with a fitted degree-5
+polynomial g in place of their fixed cubic, evaluated in 18 in-place ufunc
+passes per block. g's argument is clamped to its domain, x^2 <= 32 (|x| <=
+4 sqrt 2), and x from below to -S, with S the float32 from which tanh's
+argument reaches 10, where numpy's float32 tanh is exactly +-1: so gelu(x)
+= x from S up and -0.0 from -S down. Other dtypes take Phi(x) = 0.5 * (1 +
 erf(x / sqrt 2)) in float64, with erf from W. J. Cody's rational Chebyshev
 approximations (Math. Comp. 23, 1969) in numpy: at most 6 ulp from
 math.erf over the tested points, odd bit for bit, and run over fixed-size
@@ -98,28 +100,28 @@ def _const(v: float, dtype: type = np.float32) -> Array:
     return a
 
 
-# float32 GeLU: elements per block; the clamp, a float32 at which the op
-# sequence of _gelu_float32 gives Phi exactly 0 and 1; and the rational
-# Phi(x) = 0.5 + x * P(x^2) / Q(x^2) on the clamped range, coefficients
-# highest degree first, P monic with its leading 1 left out. Fitted as a
-# float64 minimax of the GeLU error by tools/fit_gelu.py.
+# float32 GeLU: elements per block; the end of g's domain in x^2, (4 sqrt 2)^2;
+# the saturation point S, the smallest float32 at which the op sequence of
+# _gelu_float32 gives Phi exactly 1 at S and exactly 0 at -S; and g, highest
+# degree first. Fitted as a float64 minimax of the GeLU error by
+# tools/fit_gelu.py, which also picks S.
 _GELU_BLOCK = 65536
-_GELU_CLAMP = 5.656853675842285
-_GELU_P = tuple(_const(v) for v in (
-    -149.2367706298828, 8461.76171875, 96771.03125, 45655096.0,
-    276220768.0, 5041446912.0))
-_GELU_Q = tuple(_const(v) for v in (
-    12356146.0, 264278624.0, 2799209472.0, 12636824576.0))
+_GELU_T_MAX = 32.0
+_GELU_SAT = 7.1081953048706055
+_GELU_G = tuple(_const(v) for v in (
+    -5.5106070817600994e-08, 2.7573930765356636e-06, -4.688671469921246e-05,
+    -5.928908649366349e-05, 0.036367740482091904, 0.7978717684745789))
+_ONE_F32 = _const(1.0)
 _HALF_F32 = _const(0.5)
 
 
 @cache
 def _gelu_bounds() -> tuple[Array, Array]:
-    # the clamp as two read-only block-sized arrays, made on first use: with
-    # an array operand np.maximum and np.minimum run about twice as fast as
-    # with a 0-d one
+    # -S and the domain end as two read-only block-sized arrays, made on
+    # first use: with an array operand np.maximum and np.minimum run about
+    # twice as fast as with a 0-d one
     bounds = tuple(np.full(_GELU_BLOCK, v, dtype=np.float32)
-                   for v in (-_GELU_CLAMP, _GELU_CLAMP))
+                   for v in (-_GELU_SAT, _GELU_T_MAX))
     for b in bounds:
         b.flags.writeable = False
     return bounds
@@ -406,45 +408,41 @@ def batchnorm_infer(x: Array, gamma: Array, beta: Array, mean: Array,
 
 
 def _gelu_float32(x: Array) -> Array:
-    # x * Phi(x), with Phi(x) = 0.5 + xc * P(t) / Q(t), xc = x clamped to
-    # [-_GELU_CLAMP, _GELU_CLAMP] and t = xc^2, in 24 ufunc passes per block.
-    # x is clamped from below first and that value is the final factor: it
-    # equals x except below the clamp, where Phi is exactly 0 and the product
-    # is -0.0 either way, -inf included. The kernel runs over fixed-size
-    # blocks through three scratch buffers and the output, with in-place
-    # ufuncs; each element sees the same exactly rounded float32 op sequence
-    # whatever its position or the array size, so results are repacking
-    # invariant.
+    # x * Phi(x), with Phi(x) = (1 + tanh(xl * g(t))) / 2, xl = max(x, -S) and
+    # t = min(xl^2, 32), in 18 ufunc passes per block. xl is also the final
+    # factor: it equals x except below -S, where Phi is exactly 0 and the
+    # product is -0.0 either way, -inf included. Phi is formed before the
+    # product, so gelu(float32 max) does not overflow; xl^2 and xl * g may,
+    # harmlessly (min and tanh take inf to 32 and 1), and only that warning
+    # is silenced. Fixed-size blocks, two scratch buffers and in-place ufuncs:
+    # each element sees the same exactly rounded float32 op sequence whatever
+    # its position or the array size, so results are repacking invariant.
     flat = x.reshape(-1)
     out = np.empty(x.shape, dtype=np.float32)
     out_flat = out.reshape(-1)
-    lo, hi = _gelu_bounds()
+    lo, t_max = _gelu_bounds()
     n = min(flat.size, _GELU_BLOCK)
-    xc_buf = np.empty(n, dtype=np.float32)
     t_buf = np.empty(n, dtype=np.float32)
-    p_buf = np.empty(n, dtype=np.float32)
-    for start in range(0, flat.size, _GELU_BLOCK):
-        xb = flat[start:start + _GELU_BLOCK]
-        m = xb.size
-        xl = out_flat[start:start + m]
-        xc, t, p = xc_buf[:m], t_buf[:m], p_buf[:m]
-        np.maximum(xb, lo[:m], out=xl)
-        np.minimum(xl, hi[:m], out=xc)
-        np.multiply(xc, xc, out=t)
-        np.add(t, _GELU_P[0], out=p)  # Horner in t; P is monic
-        for a in _GELU_P[1:]:
-            p *= t
-            p += a
-        p *= xc
-        q = xc  # xc is no longer needed; its buffer takes the denominator
-        np.multiply(t, _GELU_Q[0], out=q)
-        q += _GELU_Q[1]
-        for b in _GELU_Q[2:]:
-            q *= t
-            q += b
-        p /= q
-        p += _HALF_F32
-        xl *= p
+    g_buf = np.empty(n, dtype=np.float32)
+    with np.errstate(over="ignore"):
+        for start in range(0, flat.size, _GELU_BLOCK):
+            xb = flat[start:start + _GELU_BLOCK]
+            m = xb.size
+            xl = out_flat[start:start + m]
+            t, g = t_buf[:m], g_buf[:m]
+            np.maximum(xb, lo[:m], out=xl)
+            np.multiply(xl, xl, out=t)
+            np.minimum(t, t_max[:m], out=t)
+            np.multiply(t, _GELU_G[0], out=g)  # Horner in t
+            for c in _GELU_G[1:-1]:
+                g += c
+                g *= t
+            g += _GELU_G[-1]
+            g *= xl
+            np.tanh(g, out=g)
+            g += _ONE_F32
+            g *= _HALF_F32
+            xl *= g
     return out
 
 
@@ -534,9 +532,10 @@ def _phi(x: Array) -> Array:
 def gelu(x: Array) -> Array:
     """GeLU, x * Phi(x), with Phi the standard normal CDF (erf form).
 
-    float32: Phi from a clamped rational approximation (absolute GeLU error
-    at most 2e-6 against float64), exactly 0 and 1 beyond the clamp, so
-    gelu(x) is x there and -0.0 below -clamp. Other dtypes: in float64, with
+    float32: Phi = (1 + tanh(x * g(x^2))) / 2 with g a fitted polynomial
+    (absolute GeLU error at most 2e-6 against float64, checked over every
+    float32), exactly 0 and 1 beyond a saturation point S, so gelu(x) is x
+    from S up and -0.0 from -S down. Other dtypes: in float64, with
     the erf of Cody's approximations (_erf, at most 6 ulp from math.erf). In
     every dtype gelu(+inf) = +inf, gelu(-inf) = -0.0 and gelu(nan) = nan,
     with no floating-point warning.

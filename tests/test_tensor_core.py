@@ -1,6 +1,7 @@
 import ast
 import json
 import math
+import runpy
 import warnings
 from pathlib import Path
 
@@ -499,7 +500,7 @@ def test_gelu_float32_dense_sweep_error_bound():
 def test_gelu_float32_exhaustive_over_the_binade_4_to_8():
     # every float32 with 4 <= |x| < 8, both signs (2^24 values, in chunks of
     # 2^20), against the float64 gelu of the same inputs; the worst error is
-    # 1.5902e-6, at x = 4.6712303, a value the sweep above never sees
+    # 9.4025e-7, at x = 4.7988973, a value the sweep above never sees
     worst = 0.0
     for sign in (0, 0x80000000):
         for start in range(0x40800000, 0x41000000, 1 << 20):
@@ -593,13 +594,27 @@ def test_float64_phi_within_4_half_ulps_of_one_of_math_erf():
 
 
 def test_gelu_float32_saturates_exactly_beyond_the_clamp(assert_bitwise):
-    # Phi is exactly 1 from the clamp up and exactly 0 from its negative down
-    clamp = np.float32(tensor_core._GELU_CLAMP)
-    assert float(clamp) == tensor_core._GELU_CLAMP
-    big = np.array([clamp, np.nextafter(clamp, np.float32(np.inf)), 10.0, 1e30,
+    # Phi is exactly 1 from S up and exactly 0 from -S down
+    sat = np.float32(tensor_core._GELU_SAT)
+    assert float(sat) == tensor_core._GELU_SAT
+    big = np.array([sat, np.nextafter(sat, np.float32(np.inf)), 10.0, 1e30,
                     np.finfo(np.float32).max], np.float32)
     assert_bitwise(gelu(big), big)
     assert_bitwise(gelu(-big), np.full(big.shape, -0.0, np.float32))
+
+
+def test_gelu_float32_saturation_rests_on_numpy_tanh():
+    # the kernel's exact saturation needs float32 np.tanh to be exactly +-1
+    # from 10 on, and tanh's argument xl * g(32) to reach 10 at +-S
+    u = np.array([10.0, -10.0, 1e30, -np.inf], np.float32)
+    assert np.array_equal(np.tanh(u), [1.0, -1.0, 1.0, -1.0])
+    t = np.full(2, tensor_core._GELU_T_MAX, np.float32)
+    g = np.full(2, tensor_core._GELU_G[0], np.float32) * t
+    for c in tensor_core._GELU_G[1:-1]:
+        g = (g + c) * t
+    g += tensor_core._GELU_G[-1]
+    u = np.array([tensor_core._GELU_SAT, -tensor_core._GELU_SAT], np.float32) * g
+    assert np.all(np.abs(u) >= 10.0), u
 
 
 def test_fit_gelu_reproduces_the_kernel_constants(run_with_blas_threads):
@@ -609,20 +624,30 @@ def test_fit_gelu_reproduces_the_kernel_constants(run_with_blas_threads):
     out = run_with_blas_threads(
         f"import runpy; runpy.run_path({str(tool)!r}, run_name='__main__')", 1)
     printed = dict(line.split(": ", 1) for line in out.splitlines())
-    p_line = next(v for name, v in printed.items() if name.startswith("P "))
-    q_line = next(v for name, v in printed.items() if name.startswith("Q "))
-    assert ast.literal_eval(p_line) == tuple(float(v) for v in tensor_core._GELU_P)
-    assert ast.literal_eval(q_line) == tuple(float(v) for v in tensor_core._GELU_Q)
-    assert float(printed["clamp"]) == tensor_core._GELU_CLAMP
+    g_line = next(v for name, v in printed.items() if name.startswith("g "))
+    assert ast.literal_eval(g_line) == tuple(float(v) for v in tensor_core._GELU_G)
+    assert float(printed["saturation S"]) == tensor_core._GELU_SAT
+
+
+def test_fit_gelu_walk_checks_the_blocks_around_s_and_inf():
+    # the --exhaustive walk over the blocks holding +-S and +-inf (with the
+    # NaN payloads): every class checked is present and none fails
+    tool = runpy.run_path(str(Path(__file__).resolve().parents[1] / "tools" / "fit_gelu.py"))
+    sat = np.float32(tensor_core._GELU_SAT)
+    edges = np.array([sat, -sat, np.inf, -np.inf], np.float32).view(np.uint32)
+    report = tool["walk"](sorted({int(b) // tool["WALK_BLOCK"] for b in edges}))
+    assert all(n > 0 and bad == 0 for n, bad in report["counts"].values()), report
+    assert report["worst"] <= 2e-6, report
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_gelu_non_finite_inputs_give_limits_quietly(dtype, assert_bitwise):
-    x = np.array([np.inf, -np.inf, np.nan, 1.5, -2.0], dtype)
+    big = np.finfo(dtype).max
+    x = np.array([np.inf, -np.inf, np.nan, big, -big, 1.5, -2.0], dtype)
     with np.errstate(all="raise"):
         got = gelu(x)
-    assert_bitwise(got[:3], np.array([np.inf, -0.0, np.nan], dtype))
-    assert_bitwise(got[3:], gelu(x[3:]))
+    assert_bitwise(got[:5], np.array([np.inf, -0.0, np.nan, big, -0.0], dtype))
+    assert_bitwise(got[5:], gelu(x[5:]))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
