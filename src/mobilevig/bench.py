@@ -1,9 +1,9 @@
-"""Wall-clock microbenchmarks for the two aggregation mechanisms.
-
-Times only the aggregation step X_j: window minima over the fixed graph's
+"""Wall-clock timing of a forward pass, end to end and per layer_plan entry
+(profile), and of the aggregation step X_j of both mechanisms: window minima
+over the fixed graph's
 shifts for the SVGA path, and graph construction + layout changes + gathers
 + max folding for the KNN baseline. The Grapher's projection conv, the same
-for both mechanisms, is not timed. The two mechanisms' samples alternate
+for both mechanisms, is not timed. All of profile's samples alternate
 (time_interleaved, the package's one sample loop).
 """
 
@@ -18,12 +18,12 @@ from typing import Callable
 
 import numpy as np
 
+from .arch import VariantConfig, build_model, forward_entries, layer_shapes, model_forward
 from .knn import knn_aggregate, knn_graph
 from .svga import mrconv_aggregate
-from .tensor_core import _openblas
+from .tensor_core import _openblas, global_avg_pool, linear
 
 MIN_REPS = 30
-MIN_WARMUP = 5
 
 
 def _cpu_model() -> str | None:
@@ -69,16 +69,17 @@ def environment() -> dict:
     }
 
 
-def aggregation_step(mechanism: str, h: int, w: int, c: int, k: int,
-                     batch: int = 1, seed: int = 0) -> Callable[[], np.ndarray]:
-    """The operation run_bench times for one mechanism, on its seeded input:
-    x is the first draw of a generator keyed by seed."""
-    if mechanism not in ("svga", "knn"):
-        raise ValueError(f"unknown mechanism {mechanism!r}")
-    x = np.random.default_rng(seed).standard_normal((batch, c, h, w)).astype(np.float32)
-    if mechanism == "svga":
-        return lambda: mrconv_aggregate(x, k)
-    return lambda: knn_aggregate(x, knn_graph(x, k))
+def aggregation_steps(cfg: VariantConfig, size: int,
+                      batch: int = 1) -> dict[tuple[str, int], Callable[[], np.ndarray]]:
+    """profile's two aggregation steps, keyed (mechanism, k), on one seeded
+    map of the SVGA stage's shape: SVGA at cfg.k, and KNN at ViG's k = 9,
+    clamped to h*w - 1 on maps of fewer than 10 nodes."""
+    side = size // 32
+    x = np.random.default_rng(0).standard_normal(
+        (batch, cfg.stage_channels[3], side, side)).astype(np.float32)
+    knn_k = min(9, side * side - 1)  # ViG's k
+    return {("svga", cfg.k): lambda: mrconv_aggregate(x, cfg.k),
+            ("knn", knn_k): lambda: knn_aggregate(x, knn_graph(x, knn_k))}
 
 
 def time_once_ns(step: Callable[[], object]) -> int:
@@ -108,21 +109,50 @@ def time_interleaved(steps: list[Callable[[], object]], reps: int,
     return samples
 
 
-def run_bench(h: int, w: int, c: int, svga_k: int = 2, knn_k: int = 9,
-              batch: int = 1, reps: int = 100, warmup: int = 10,
-              seed: int = 0) -> dict:
-    """Times the svga and the knn aggregation, interleaved, and returns
-    {"env": environment(), "records": [one dict per mechanism, svga first]}."""
+def _row(times: list[int], macs: int | None = None) -> dict:
+    row = dict(zip(("median_ns", "p10_ns", "p90_ns"), percentiles_ns(times)))
+    if macs is not None:  # MACs per ns is GMAC/s
+        row.update(macs=macs, gmac_per_s=macs / row["median_ns"])
+    return row
+
+
+def profile(cfg: VariantConfig, size: int = 224, batch: int = 1,
+            reps: int = MIN_REPS) -> dict:
+    """Times cfg's seed-0 model on `batch` images, the first of them the
+    input of `forward --seed 0`: model_forward end to end, and one row per
+    plan entry, the gap between two of forward_entries' yields (the head's
+    holds the pool and the classifier too), taking turns with
+    aggregation_steps."""
     if reps < MIN_REPS:
         raise ValueError(f"reps must be >= {MIN_REPS}, got {reps}")
-    if warmup < MIN_WARMUP:
-        raise ValueError(f"warmup must be >= {MIN_WARMUP}, got {warmup}")
-    ks = {"svga": svga_k, "knn": knn_k}
-    steps = [aggregation_step(mech, h, w, c, k, batch, seed) for mech, k in ks.items()]
-    records = []
-    for (mech, k), times in zip(ks.items(), time_interleaved(steps, reps, warmup)):
-        med, p10, p90 = percentiles_ns(times)
-        records.append({"mechanism": mech, "h": h, "w": w, "c": c, "k": k,
-                        "batch": batch, "reps": reps,
-                        "median_ns": med, "p10_ns": p10, "p90_ns": p90})
-    return {"env": environment(), "records": records}
+    shapes = layer_shapes(cfg, size, size)
+    weights = build_model(cfg)
+    x = np.random.default_rng([0, 1]).standard_normal((batch, 3, size, size)).astype(np.float32)
+    gaps = [[] for _ in shapes]
+
+    def walk():
+        stamps = [time.perf_counter_ns()]
+        for _, t in forward_entries(x, weights, cfg):
+            stamps.append(time.perf_counter_ns())
+        linear(global_avg_pool(t), weights.head_weight, weights.head_bias)
+        stamps[-1] = time.perf_counter_ns()
+        for row, t0, t1 in zip(gaps, stamps, stamps[1:]):
+            row.append(t1 - t0)
+
+    aggregations = aggregation_steps(cfg, size, batch)
+    steps = [lambda: model_forward(x, weights, cfg), walk, *aggregations.values()]
+    end_to_end, _, *aggregation_times = time_interleaved(steps, reps, warmup=5)
+    total = _row(end_to_end, sum(macs for _, macs, _ in shapes) * batch)
+    # each row's gaps begin with the walk's warm-up rounds
+    layers = [{"name": layer.name, "kind": layer.kind, "output": list(hw),
+               **_row(row[-reps:], macs * batch)} for (layer, macs, hw), row in zip(shapes, gaps)]
+    side = size // 32
+    return {
+        "variant": cfg.name, "size": size, "batch": batch, "reps": reps,
+        "end_to_end": total,
+        "rows_over_end_to_end": sum(r["median_ns"] for r in layers) / total["median_ns"],
+        "layers": layers,
+        "aggregation": [{"mechanism": mech, "k": k, "map": [batch, cfg.stage_channels[3], side, side],
+                         **_row(times)} for (mech, k), times in zip(aggregations, aggregation_times)],
+        "env": environment(),
+    }

@@ -1,6 +1,6 @@
 """Command-line surface: model description and counting, property
-verification, aggregation benchmarks, and deterministic forward passes with
-weight save/load.
+verification, forward-pass timing per layer and end to end (profile), and
+deterministic forward passes with weight save/load.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from .arch import (build_model, count_macs, count_params, get_variant, layer_shapes,
                    model_forward)
-from .bench import run_bench
+from .bench import MIN_REPS, profile
 from .verify import SUITES, run_suites
 from .weights_io import load_into_model, save_weights
 
@@ -26,11 +26,6 @@ def _positive_int(value: str) -> int:
     if n <= 0:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
     return n
-
-
-def _size_pair(value: str) -> tuple[int, int]:
-    h, w = value.split("x", 1) if "x" in value else (value, value)
-    return _positive_int(h), _positive_int(w)
 
 
 def _seed(value: str) -> int:
@@ -75,7 +70,7 @@ def _write_json(path: str, doc: dict) -> None:
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mobilevig",
-        description="MobileViG models, SVGA verification and benchmarking")
+        description="MobileViG models, SVGA verification and profiling")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("describe", help="stage table, parameter and MAC counts")
@@ -89,18 +84,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--json", dest="json_path")
 
-    p = sub.add_parser("bench", help="time the aggregation mechanisms")
-    p.add_argument("--size", type=_size_pair, default=(14, 14),
-                   help="spatial size, N or HxW")
-    p.add_argument("--channels", type=_positive_int, default=256)
-    p.add_argument("--k", type=_positive_int, default=2,
-                   help="connection stride of the fixed graph")
-    p.add_argument("--knn-k", type=_positive_int, default=9,
-                   help="neighbor count for the KNN baseline")
+    p = sub.add_parser("profile", help="time a forward pass end to end and per layer")
+    p.add_argument("--variant", required=True)
+    p.add_argument("--size", type=_positive_int, default=224)
     p.add_argument("--batch", type=_positive_int, default=1)
-    p.add_argument("--reps", type=_positive_int, default=100)
-    p.add_argument("--warmup", type=_positive_int, default=10)
-    p.add_argument("--seed", type=_seed, default=None)
+    p.add_argument("--reps", type=_positive_int, default=MIN_REPS)
     p.add_argument("--json", dest="json_path")
 
     p = sub.add_parser("forward", help="run a model forward pass")
@@ -179,19 +167,24 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.ok for r, _ in results) else 1
 
 
-def _cmd_bench(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
-    h, w = args.size
-    report = run_bench(h, w, args.channels, svga_k=args.k, knn_k=args.knn_k,
-                       batch=args.batch, reps=args.reps, warmup=args.warmup, seed=seed)
-    print(f"{'mechanism':<10} {'h':>4} {'w':>4} {'c':>5} {'k':>3} {'batch':>5} "
-          f"{'median':>12} {'p10':>12} {'p90':>12}")
-    for r in report["records"]:
-        print(f"{r['mechanism']:<10} {r['h']:>4} {r['w']:>4} {r['c']:>5} {r['k']:>3} "
-              f"{r['batch']:>5} {r['median_ns'] / 1e6:>10.3f}ms "
-              f"{r['p10_ns'] / 1e6:>10.3f}ms {r['p90_ns'] / 1e6:>10.3f}ms")
+def _cmd_profile(args) -> int:
+    report = profile(get_variant(args.variant), args.size, args.batch, args.reps)
+    print(f"MobileViG-{args.variant} @ {args.size}x{args.size}, batch {args.batch}: "
+          f"median, p10 and p90 of {args.reps} reps in ms")
+    rows = [*((r["name"], r["output"], r) for r in report["layers"]),
+            ("end-to-end", [], report["end_to_end"]),
+            *((f"{r['mechanism']} k={r['k']}", r["map"][2:], r) for r in report["aggregation"])]
+    for name, hw, r in rows:
+        ms = "".join(f"{r[key] / 1e6:9.3f}" for key in ("median_ns", "p10_ns", "p90_ns"))
+        rate = f" {r['macs'] / 1e6:10.1f} MMAC {r['gmac_per_s']:6.2f} GMAC/s" if "macs" in r else ""
+        print(f"{name:<12}{'x'.join(map(str, hw)):>8}{ms}{rate}")
     if args.json_path:
         _write_json(args.json_path, report)
+    ratio = report["rows_over_end_to_end"]
+    print(f"rows sum to {ratio:.3f} of end-to-end")
+    if abs(ratio - 1) > 0.10:
+        print(f"rows sum to {ratio:.3f} of the end-to-end median, over 10% away", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -200,7 +193,8 @@ def load_ppm(path: str):
     tensor scaled to [0, 1]. Any malformed file raises ValueError naming it."""
     with open(path, "rb") as f:
         data = f.read()
-    if not data.startswith(b"P6"):
+    # whitespace must end the magic number: b"P632 ..." is no P6 header
+    if not (data.startswith(b"P6") and data[2:3].isspace()):
         raise ValueError(f"{path}: not a binary PPM (P6) file")
     fields = []
     pos = 2
@@ -284,7 +278,7 @@ def _cmd_forward(args) -> int:
 _COMMANDS = {
     "describe": _cmd_describe,
     "verify": _cmd_verify,
-    "bench": _cmd_bench,
+    "profile": _cmd_profile,
     "forward": _cmd_forward,
 }
 

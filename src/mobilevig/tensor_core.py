@@ -413,8 +413,9 @@ def _gelu_float32(x: Array) -> Array:
     # factor: it equals x except below -S, where Phi is exactly 0 and the
     # product is -0.0 either way, -inf included. Phi is formed before the
     # product, so gelu(float32 max) does not overflow; xl^2 and xl * g may,
-    # harmlessly (min and tanh take inf to 32 and 1), and only that warning
-    # is silenced. Fixed-size blocks, two scratch buffers and in-place ufuncs:
+    # harmlessly (min and tanh take inf to 32 and 1); xl^2 and the products
+    # after it may underflow for tiny x, as harmlessly. Only those warnings
+    # are silenced. Fixed-size blocks, two scratch buffers and in-place ufuncs:
     # each element sees the same exactly rounded float32 op sequence whatever
     # its position or the array size, so results are repacking invariant.
     flat = x.reshape(-1)
@@ -424,7 +425,7 @@ def _gelu_float32(x: Array) -> Array:
     n = min(flat.size, _GELU_BLOCK)
     t_buf = np.empty(n, dtype=np.float32)
     g_buf = np.empty(n, dtype=np.float32)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", under="ignore"):
         for start in range(0, flat.size, _GELU_BLOCK):
             xb = flat[start:start + _GELU_BLOCK]
             m = xb.size
@@ -542,11 +543,14 @@ def gelu(x: Array) -> Array:
     """
     if getattr(x, "dtype", None) == np.float32:
         return _gelu_float32(np.asarray(x))
-    phi = _phi(x)
-    # a finite stand-in for -inf, where Phi is exactly 0: the product is then
-    # -0.0, where -inf * 0 would be nan with an invalid-value warning
-    out = np.maximum(x, np.finfo(phi.dtype).min)
-    out *= phi
+    # tiny x underflows harmlessly: in x / sqrt 2, in _erf's y * y and in
+    # the product below
+    with np.errstate(under="ignore"):
+        phi = _phi(x)
+        # a finite stand-in for -inf, where Phi is exactly 0: the product is
+        # then -0.0, where -inf * 0 would be nan with an invalid-value warning
+        out = np.maximum(x, np.finfo(phi.dtype).min)
+        out *= phi
     return out
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from mobilevig.arch import VARIANTS, build_model, count_macs, count_params, model_forward_with_stages
-from mobilevig.bench import run_bench
+from mobilevig.bench import aggregation_steps, percentiles_ns, time_interleaved
 from mobilevig.verify import (
     run_equivariance_suite,
     run_grad_suite,
@@ -95,10 +95,14 @@ def test_criterion_6_knn_correctness():
 def test_criterion_7_benchmark_direction():
     lines = []
     ok = True
-    for c in (256, 400):
-        report = run_bench(14, 14, c, svga_k=2, knn_k=9,
-                           batch=1, reps=100, warmup=10, seed=0)
-        by = {r["mechanism"]: r["median_ns"] for r in report["records"]}
+    # profile's aggregation steps on the 14x14 SVGA stage of Ti (c = 256)
+    # and M (c = 400) at 448, svga k = 2 against knn k = 9
+    for name, c in (("Ti", 256), ("M", 400)):
+        steps = aggregation_steps(VARIANTS[name], 448)
+        assert list(steps) == [("svga", 2), ("knn", 9)]
+        assert VARIANTS[name].stage_channels[3] == c
+        by = {mech: percentiles_ns(times)[0] for (mech, _), times
+              in zip(steps, time_interleaved(list(steps.values()), reps=100, warmup=10))}
         lines.append(f"c={c}: svga {by['svga'] / 1e6:.3f}ms vs knn {by['knn'] / 1e6:.3f}ms")
         if not by["svga"] < by["knn"]:
             ok = False

@@ -92,32 +92,78 @@ def test_verify_json_writes_measured_readings(capsys, tmp_path, monkeypatch):
                                    if suite == "knn" else {})
 
 
-def test_bench_reports_and_files(capsys, tmp_path):
-    out_json = tmp_path / "bench.json"
-    rc = main(["bench", "--size", "7", "--channels", "8",
-               "--reps", "30", "--warmup", "5", "--seed", "1",
-               "--json", str(out_json)])
-    assert rc == 0
-    doc = json.loads(out_json.read_text())
-    assert {r["mechanism"] for r in doc["records"]} == {"svga", "knn"}
-    for r in doc["records"]:
-        assert r["reps"] == 30
-        assert r["p10_ns"] <= r["median_ns"] <= r["p90_ns"]
+def test_profile_rows_follow_the_plan(capsys, tmp_path):
+    # the exact parts of the report: no timing bound
+    from mobilevig.arch import count_macs, layer_shapes
+
+    cfg = get_variant("Ti")
+    out_json = tmp_path / "profile.json"
+    assert main(["profile", "--variant", "Ti", "--size", "64", "--batch", "2",
+                 "--json", str(out_json)]) in (0, 1)  # 1 only if the host's timings stray
+    doc = json.loads(out_json.read_text(), parse_constant=_reject_constant)
+    assert (doc["variant"], doc["size"], doc["batch"], doc["reps"]) == ("Ti", 64, 2, 30)
+    shapes = layer_shapes(cfg, 64, 64)
+    assert len(doc["layers"]) == len(shapes)
+    for row, (layer, macs, hw) in zip(doc["layers"], shapes):
+        assert (row["name"], row["kind"]) == (layer.name, layer.kind)
+        assert (row["macs"], row["output"]) == (2 * macs, list(hw))
+        assert row["p10_ns"] <= row["median_ns"] <= row["p90_ns"]
+    assert doc["end_to_end"]["macs"] == 2 * count_macs(cfg, 64, 64)
+    assert [(r["mechanism"], r["k"], r["map"]) for r in doc["aggregation"]] == [
+        ("svga", 2, [2, 256, 2, 2]), ("knn", 3, [2, 256, 2, 2])]
+    out = capsys.readouterr().out
+    assert [line.split()[0] for line in out.splitlines()[1:-1]] == [
+        *(layer.name for layer, _, _ in shapes), "end-to-end", "svga", "knn"]
+
+
+class _TickingClock:
+    """perf_counter_ns stand-in: each reading is 1 ms after the last one."""
+
+    def __init__(self):
+        self.now = 0
+
+    def perf_counter_ns(self):
+        self.now += 1_000_000
+        return self.now
+
+
+@pytest.mark.parametrize("forward_ms, rc", [(17, 0), (15, 1), (21, 1)])
+def test_profile_exits_one_when_rows_miss_end_to_end_by_over_ten_percent(
+        capsys, monkeypatch, forward_ms, rc):
+    # Ti's walk reads the clock after each of its 17 entries and once more
+    # after the pool: its rows sum to 18 ms. The end-to-end sample is the
+    # forward's own readings plus 1 ms, so 17 readings give a ratio of 1.0,
+    # 15 give 1.125 and 21 give 0.818
+    clock = _TickingClock()
+    monkeypatch.setattr(bench, "time", clock)
+    monkeypatch.setattr(bench, "model_forward",
+                        lambda *a: [clock.perf_counter_ns() for _ in range(forward_ms)])
+    assert main(["profile", "--variant", "Ti", "--size", "64"]) == rc
+    captured = capsys.readouterr()
+    ratio = f"{18 / (forward_ms + 1):.3f}"
+    assert captured.out.splitlines()[-1] == f"rows sum to {ratio} of end-to-end"
+    if rc:
+        assert captured.err == (f"rows sum to {ratio} of the end-to-end median, "
+                                "over 10% away\n")
+    else:
+        assert captured.err == ""
 
 
 def test_bench_alternates_the_mechanisms(monkeypatch):
-    # svga and knn take turns through warm-up and samples, so that host load
-    # lands on both; the records keep their keys and come svga first
+    # profile's four steps take turns through warm-up and samples, so that
+    # host load lands on each: the forward, the instrumented walk (its one
+    # classifier call marks it), then svga and knn
     calls = []
+    monkeypatch.setattr(bench, "model_forward", lambda *a: calls.append("forward"))
+    monkeypatch.setattr(bench, "linear", lambda *a: calls.append("walk"))
     monkeypatch.setattr(bench, "mrconv_aggregate", lambda x, k: calls.append("svga"))
     monkeypatch.setattr(bench, "knn_graph", lambda x, k: calls.append("knn"))
     monkeypatch.setattr(bench, "knn_aggregate", lambda x, adj: None)
-    report = bench.run_bench(7, 7, 8, svga_k=2, knn_k=9, reps=30, warmup=5)
-    assert calls == ["svga", "knn"] * 35
-    assert [(r["mechanism"], r["k"]) for r in report["records"]] == [("svga", 2), ("knn", 9)]
-    for r in report["records"]:
-        assert list(r) == ["mechanism", "h", "w", "c", "k", "batch", "reps",
-                           "median_ns", "p10_ns", "p90_ns"]
+    report = bench.profile(get_variant("Ti"), 64, reps=30)
+    assert calls == ["forward", "walk", "svga", "knn"] * 35
+    assert [(r["mechanism"], r["k"]) for r in report["aggregation"]] == [("svga", 2), ("knn", 3)]
+    for r in report["aggregation"]:
+        assert list(r) == ["mechanism", "k", "map", "median_ns", "p10_ns", "p90_ns"]
 
 
 def test_bench_env_records_settings_in_effect(capsys, monkeypatch, tmp_path):
@@ -127,13 +173,13 @@ def test_bench_env_records_settings_in_effect(capsys, monkeypatch, tmp_path):
 
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.setenv(var, "4")  # restored after the test
-    out_json = tmp_path / "bench.json"
-    assert main(["bench", "--size", "7", "--channels", "8",
-                 "--reps", "30", "--warmup", "5", "--json", str(out_json)]) == 0
+    out_json = tmp_path / "profile.json"
+    assert main(["profile", "--variant", "Ti", "--size", "64",
+                 "--json", str(out_json)]) in (0, 1)
     env = json.loads(out_json.read_text())["env"]
     assert set(env) == {"blas", "blas_in_force", "thread_vars", "cpu_model",
                         "numpy", "python", "git_commit"}
-    # the knn step's GEMMs ran at one thread; the report gives the counts
+    # the profiled GEMMs ran at one thread; the report gives the counts
     # this process had before and has again after them
     assert env["blas_in_force"] == [{"library": name, "threads": get()}
                                     for name, get, _ in _openblas()]
@@ -151,24 +197,42 @@ def test_bench_env_records_settings_in_effect(capsys, monkeypatch, tmp_path):
     assert env["python"] == platform.python_version()
 
 
-@pytest.mark.parametrize("flag", ["--threads", "--include-projection", "--csv", "--mechanism"])
+def test_bench_is_not_a_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+
+def test_profile_takes_five_options(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["profile", "--help"])
+    assert exc.value.code == 0
+    assert re.findall(r"^  (--[\w-]+)", capsys.readouterr().out, re.MULTILINE) == [
+        "--variant", "--size", "--batch", "--reps", "--json"]
+
+
+# the retired bench command's flags, which profile's variant and size replace
+@pytest.mark.parametrize("flag", ["--threads", "--include-projection", "--csv", "--mechanism",
+                                  "--channels", "--k", "--knn-k", "--warmup", "--seed"])
 def test_bench_rejects_removed_flag(flag, capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["bench", flag])
+        main(["profile", "--variant", "Ti", flag, "1"])
     assert exc.value.code == 2
     assert flag in capsys.readouterr().err
 
 
 def test_bench_rejects_low_reps(capsys):
-    rc = main(["bench", "--reps", "10", "--size", "7", "--channels", "4"])
+    rc = main(["profile", "--variant", "Ti", "--size", "64", "--reps", "10"])
     assert rc == 2
-    assert "reps" in capsys.readouterr().err
+    assert "reps must be >= 30" in capsys.readouterr().err
 
 
+# a size is one positive integer; bench's HxW form is gone
 @pytest.mark.parametrize("size", ["0", "-3", "7x0", "0x7", "7x-2"])
 def test_bench_rejects_nonpositive_size(capsys, size):
     with pytest.raises(SystemExit) as exc:
-        main(["bench", "--size", size, "--channels", "4"])
+        main(["profile", "--variant", "Ti", "--size", size])
     assert exc.value.code == 2
     assert "--size" in capsys.readouterr().err
 
@@ -176,22 +240,24 @@ def test_bench_rejects_nonpositive_size(capsys, size):
 @pytest.mark.wallclock
 def test_bench_median_stable_when_reps_double(run_with_blas_threads):
     # measured in a new process with BLAS on one thread; the 30-rep and the
-    # 60-rep measurement of run_bench's knn operation are interleaved
-    # after a warm-up, so drift in the host's speed over the run reaches both
-    # alike
+    # 60-rep measurement of profile's knn step (Ti's at 448, the map of
+    # criterion 7's c = 256 case) are interleaved after a warm-up, so drift
+    # in the host's speed over the run reaches both alike. The order is a
+    # seeded shuffle: a fixed pattern (two doubled reps, then one first)
+    # lined up with a call-to-call cycle of a few percent in this step's
+    # time and failed about one run in four
     out = run_with_blas_threads("""
 import json
-import re
-from mobilevig.bench import aggregation_step, percentiles_ns, time_once_ns
+import numpy as np
+from mobilevig.arch import get_variant
+from mobilevig.bench import aggregation_steps, percentiles_ns, time_once_ns
 
-step = aggregation_step("knn", 14, 14, 64, 9, seed=2)
+step = aggregation_steps(get_variant("Ti"), 448)[("knn", 9)]
 for _ in range(5):
     step()
 first_times, doubled_times = [], []
-for i in range(60):
-    doubled_times.append(time_once_ns(step))
-    if i % 2:
-        first_times.append(time_once_ns(step))
+for is_first in np.random.default_rng(0).permutation([True] * 30 + [False] * 60):
+    (first_times if is_first else doubled_times).append(time_once_ns(step))
 _, first_p10, first_p90 = percentiles_ns(first_times)
 doubled_median, _, _ = percentiles_ns(doubled_times)
 print(json.dumps([first_p10, doubled_median, first_p90]))
@@ -256,7 +322,7 @@ def test_forward_deterministic_and_seed_env(capsys, tmp_path, monkeypatch):
 @pytest.mark.parametrize("argv", [
     ["verify", "--suite", "grad", "--seed", "-1"],
     ["forward", "--variant", "Ti", "--size", "64", "--seed", "-3"],
-    ["bench", "--size", "7", "--channels", "4", "--seed", "x"],
+    ["verify", "--suite", "oracle", "--seed", "x"],
 ])
 def test_bad_seed_flag_names_the_flag(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -420,8 +486,10 @@ def test_small_ppm_loads(tmp_path):
     b"P6 " + b"9" * 5000 + b" 3 255 ",
     b"P6 2 3",
     b"P6 2 3 255 ",
+    b"P632 32 255\n" + bytes(3072),
 ], ids=["huge-dims", "negative-dims", "plus-sign", "zero-width", "zero-height",
-        "maxval-256", "hex-maxval", "5000-digits", "no-maxval", "short-pixels"])
+        "maxval-256", "hex-maxval", "5000-digits", "no-maxval", "short-pixels",
+        "magic-glued-to-width"])
 def test_load_ppm_rejects_bad_headers_with_value_error(tmp_path, header):
     path = tmp_path / "bad.ppm"
     path.write_bytes(header + b"\x00" * 12)

@@ -642,8 +642,10 @@ def test_fit_gelu_walk_checks_the_blocks_around_s_and_inf():
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_gelu_non_finite_inputs_give_limits_quietly(dtype, assert_bitwise):
+    # tiny inputs too, whose squares (float32) or erf's y * y (float64) underflow
     big = np.finfo(dtype).max
-    x = np.array([np.inf, -np.inf, np.nan, big, -big, 1.5, -2.0], dtype)
+    tiny = [1e-30, -1e-30] if dtype == np.float32 else [1e-200, 1e-320, -1e-320]
+    x = np.array([np.inf, -np.inf, np.nan, big, -big, 1.5, -2.0, *tiny], dtype)
     with np.errstate(all="raise"):
         got = gelu(x)
     assert_bitwise(got[:5], np.array([np.inf, -0.0, np.nan, big, -0.0], dtype))
