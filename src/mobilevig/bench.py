@@ -71,15 +71,18 @@ def environment() -> dict:
 
 def aggregation_steps(cfg: VariantConfig, size: int,
                       batch: int = 1) -> dict[tuple[str, int], Callable[[], np.ndarray]]:
-    """profile's two aggregation steps, keyed (mechanism, k), on one seeded
-    map of the SVGA stage's shape: SVGA at cfg.k, and KNN at ViG's k = 9,
-    clamped to h*w - 1 on maps of fewer than 10 nodes."""
+    """profile's aggregation steps, keyed (mechanism, k), on one seeded map
+    of the SVGA stage's shape: SVGA at cfg.k, and KNN at ViG's k = 9,
+    clamped to h*w - 1 on maps of fewer than 10 nodes. A one-node map has
+    no neighbour to find, so it gets the SVGA step only."""
     side = size // 32
     x = np.random.default_rng(0).standard_normal(
         (batch, cfg.stage_channels[3], side, side)).astype(np.float32)
-    knn_k = min(9, side * side - 1)  # ViG's k
-    return {("svga", cfg.k): lambda: mrconv_aggregate(x, cfg.k),
-            ("knn", knn_k): lambda: knn_aggregate(x, knn_graph(x, knn_k))}
+    steps = {("svga", cfg.k): lambda: mrconv_aggregate(x, cfg.k)}
+    if side * side > 1:
+        knn_k = min(9, side * side - 1)  # ViG's k
+        steps["knn", knn_k] = lambda: knn_aggregate(x, knn_graph(x, knn_k))
+    return steps
 
 
 def time_once_ns(step: Callable[[], object]) -> int:

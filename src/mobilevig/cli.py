@@ -131,18 +131,10 @@ def _cmd_describe(args) -> int:
     print(f"macs @ {size}: {macs:,} ({macs / 1e9:.3f} G)")
 
     if args.json_path:
-        doc = {
-            "variant": cfg.name,
-            "input_size": size,
-            "params": params,
-            "macs": macs,
-            "stages": [
-                {"name": name, "output": out, "op": op,
-                 "channels": ch, "blocks": blocks}
-                for name, out, op, ch, blocks in rows
-            ],
-        }
-        _write_json(args.json_path, doc)
+        keys = ("name", "output", "op", "channels", "blocks")
+        _write_json(args.json_path, {
+            "variant": cfg.name, "input_size": size, "params": params, "macs": macs,
+            "stages": [dict(zip(keys, row)) for row in rows]})
     return 0
 
 
@@ -161,7 +153,7 @@ def _cmd_verify(args) -> int:
     if args.json_path:
         doc = {"seed": seed, "suites": [
             {"name": r.name, "ok": r.ok, "detail": r.detail, "seconds": seconds,
-             "measured": r.measured, "counterexample": r.counterexample}
+             "counterexample": r.counterexample}
             for r, seconds in results]}
         _write_json(args.json_path, doc)
     return 0 if all(r.ok for r, _ in results) else 1
@@ -264,14 +256,9 @@ def _cmd_forward(args) -> int:
     for rank, idx in enumerate(top, start=1):
         print(f"  top{rank}: class {int(idx):>4}  logit {float(logits[0, idx]):+.6e}")
     if args.json_path:
-        doc = {
-            "variant": cfg.name,
-            "seed": seed,
-            "input": args.input,
-            "top5": [[int(i), float(logits[0, i])] for i in top],
-            "logits": [[float(v) for v in row] for row in logits],
-        }
-        _write_json(args.json_path, doc)
+        _write_json(args.json_path, {
+            "variant": cfg.name, "seed": seed, "input": args.input,
+            "top5": [[int(i), float(logits[0, i])] for i in top], "logits": logits.tolist()})
     return 0
 
 

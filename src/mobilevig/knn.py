@@ -157,15 +157,10 @@ def adjacency_from_fixed_graph(graph: FixedGraph, batch: int) -> KnnAdjacency:
     """
     h, w = graph.h, graph.w
     rows, cols = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
-    slots = []
-    for off in graph.col_offsets:
-        slots.append(((rows - off) % h) * w + cols)
-    for off in graph.row_offsets:
-        slots.append(rows * w + (cols - off) % w)
-    if slots:
-        per_image = np.stack([s.reshape(-1) for s in slots], axis=1)
-    else:
-        per_image = np.empty((h * w, 0), dtype=np.int64)
+    slots = [((rows - off) % h) * w + cols for off in graph.col_offsets]
+    slots += [rows * w + (cols - off) % w for off in graph.row_offsets]
+    # (slots, h*w) as int64, transposed: also a (h*w, 0) array with no slots
+    per_image = np.array(slots, dtype=np.int64).reshape(len(slots), h * w).T
     idx = np.broadcast_to(per_image, (batch,) + per_image.shape).astype(np.int64)
     return KnnAdjacency(h=h, w=w, neighbor_idx=idx)
 

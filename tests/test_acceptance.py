@@ -84,7 +84,6 @@ def test_criterion_5_shape_schedule():
     assert not failures, failures
 
 
-@pytest.mark.wallclock
 def test_criterion_6_knn_correctness():
     r = run_knn_suite(seed=0)
     _report(6, "knn graph matches exact reference (50 cases, exact)", r.ok, r.detail)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from mobilevig.knn import (
     pairwise_sq_dists,
 )
 from mobilevig.svga import build_fixed_offsets, gather_aggregate
-from mobilevig.verify import _knn_cost_medians_ns, knn_exact_reference
+from mobilevig.verify import knn_exact_reference
 
 
 def rand(shape, seed=0):
@@ -387,50 +389,67 @@ def test_aggregate_rejects_out_of_range_indices(bad):
 
 @pytest.mark.wallclock
 def test_graph_construction_cost_grows_superlinearly():
-    small_ns, big_ns = _knn_cost_medians_ns(seed=0)
+    # the wall-clock side of the knn suite's traced-peak check, on its maps
+    rng = np.random.default_rng([0, 14])
+    small, big = (rng.standard_normal((1, 16, s, s)).astype(np.float32) for s in (7, 14))
+    times = bench.time_interleaved([lambda x=x: knn_graph(x, 9) for x in (small, big)],
+                                   reps=15, warmup=1)
+    small_ns, big_ns = (bench.percentiles_ns(t)[0] for t in times)
     assert big_ns / small_ns > 3.0
 
 
-def test_cost_ratio_alternates_graph_sizes(monkeypatch):
-    # the ratio's two samples interleave, so that host load lands on both
-    shapes = []
-
-    def spy(x, k):
-        shapes.append(x.shape[2:])
-        return knn_graph(x, k)
-
-    monkeypatch.setattr(verify, "knn_graph", spy)
-    small_ns, big_ns = _knn_cost_medians_ns(seed=0)
-    assert big_ns / small_ns > 0
-    assert shapes == [(7, 7), (14, 14)] * 16
-
-
-def test_cost_growth_failure_reports_both_medians(monkeypatch):
-    # 1 ms per 7x7 graph and 2 ms per 14x14 graph: ratio 2, under the bound
-    def fixed_time(step):
-        return {7: 1_000_000, 14: 2_000_000}[step.args[0].shape[2]]
-
-    monkeypatch.setattr(bench, "time_once_ns", fixed_time)
+def test_cost_growth_failure_reports_both_peaks(monkeypatch):
+    # 1000 bytes at 7x7 and 8000 at 14x14: ratio 8, not above the bound
+    monkeypatch.setattr(verify, "_knn_peak_bytes", lambda seed: (1000, 8000))
     r = verify.run_knn_suite(seed=0, seeds=1)
     assert (r.name, r.ok) == ("knn-cost-growth", False)
-    assert r.detail == ("14x14 vs 7x7 graph construction ratio 2.00 <= 3 "
-                        "(medians 2.000 ms vs 1.000 ms)")
-    assert r.counterexample == {"ratio": 2.0, "median_7x7_ms": 1.0,
-                                "median_14x14_ms": 2.0, "seed": 0}
+    assert r.detail == "14x14 vs 7x7 graph construction traced peak ratio not above 8"
+    assert r.counterexample == {"ratio": 8.0, "peak_7x7_bytes": 1000,
+                                "peak_14x14_bytes": 8000, "seed": 0}
 
 
 def test_cost_growth_pass_keeps_the_readings_out_of_the_detail(monkeypatch):
-    # 1 ms per 7x7 graph and 4 ms per 14x14 graph: ratio 4, over the bound
-    def fixed_time(step):
-        return {7: 1_000_000, 14: 4_000_000}[step.args[0].shape[2]]
-
-    monkeypatch.setattr(bench, "time_once_ns", fixed_time)
+    # 1000 bytes at 7x7 and 8001 at 14x14: just above the bound
+    monkeypatch.setattr(verify, "_knn_peak_bytes", lambda seed: (1000, 8001))
     r = verify.run_knn_suite(seed=0, seeds=1)
     assert (r.name, r.ok) == ("knn-graph", True)
     assert r.detail == ("1 exact-reference cases exact; fixed-adjacency bitwise; "
-                        "cost ratio > 3")
-    assert r.measured == {"ratio": 4.0, "median_7x7_ms": 1.0, "median_14x14_ms": 4.0}
+                        "traced peak ratio > 8")
     assert r.counterexample == {}
+
+
+def test_peak_ratio_separates_quadratic_from_node_linear_graphs(monkeypatch):
+    # knn_graph's N x N buffers grow 16x from 7x7 to 14x14; a graph
+    # construction whose memory is linear in the node count grows about 4x
+    small, big = verify._knn_peak_bytes(seed=0)
+    assert big / small > 8
+
+    def node_linear(x, k):
+        n, c, h, w = x.shape
+        feats = x.transpose(0, 2, 3, 1).reshape(n, h * w, c).astype(np.float64)
+        return np.argsort(feats, axis=1)[..., :k]
+
+    monkeypatch.setattr(verify, "knn_graph", node_linear)
+    small, big = verify._knn_peak_bytes(seed=0)
+    assert 2 < big / small < 8
+
+
+@pytest.mark.parametrize("tracing", [False, True])
+def test_peak_reading_does_not_depend_on_tracing_already_on(tracing):
+    # the reading is the call's own peak above the bytes traced before it,
+    # and tracing is left as it was found; with tracing already on, frees
+    # of blocks traced earlier lower the reading by a few hundred bytes
+    want = verify._knn_peak_bytes(seed=0)
+    if tracing:
+        tracemalloc.start()
+    held = np.ones(1 << 20)  # 8 MB, traced when tracing is on
+    try:
+        got = verify._knn_peak_bytes(seed=0)
+        assert tracemalloc.is_tracing() == tracing
+        assert tracemalloc.get_traced_memory()[0] >= (held.nbytes if tracing else 0)
+    finally:
+        tracemalloc.stop()
+    assert all(abs(g - w) <= w / 100 for g, w in zip(got, want)), (got, want)
 
 
 def test_fixed_adjacency_bridge_compares_bit_patterns(monkeypatch):
