@@ -160,19 +160,26 @@ def build_model(cfg: VariantConfig, seed: int = 0, *, skeleton: bool = False) ->
     return ModelWeights(cfg.name, blocks, head_weight, head_bias)
 
 
+# The block forwards here and in svga write GeLU, the depthwise conv and
+# the residual add over their own temporaries (tensor_core's out= forms),
+# never over x: the walk's caller may still hold each block's input.
 def mbconv_forward(x: Array, w: tuple[ConvBn, ...]) -> Array:
     expand, depthwise, project = w
-    t = gelu(conv_bn(x, expand))
-    t = gelu(conv_bn(t, depthwise))
+    t = conv_bn(x, expand)
+    gelu(t, out=t)
+    conv_bn(t, depthwise, out=t)
+    gelu(t, out=t)
     t = conv_bn(t, project)
-    return elem_add(t, x)
+    return elem_add(t, x, out=t)
 
 
 def stem_forward(x: Array, stem: tuple[ConvBn, ...]) -> Array:
     _require(x.shape[2] % 4 == 0 and x.shape[3] % 4 == 0,
              f"stem needs spatial dims divisible by 4, got {x.shape[2]}x{x.shape[3]}")
-    t = gelu(conv_bn(x, stem[0]))
-    return gelu(conv_bn(t, stem[1]))
+    t = conv_bn(x, stem[0])
+    gelu(t, out=t)
+    t = conv_bn(t, stem[1])
+    return gelu(t, out=t)
 
 
 def downsample_forward(x: Array, w: tuple[ConvBn, ...]) -> Array:
@@ -205,7 +212,8 @@ def forward_entries(x: Array, weights: ModelWeights, cfg: VariantConfig):
         elif layer.kind == "svga":
             t = svga_block_forward(t, block, cfg.k)
         else:
-            t = gelu(conv_bn(t, *block))
+            t = conv_bn(t, *block)
+            gelu(t, out=t)
         yield layer, t
 
 

@@ -4,7 +4,9 @@ over the fixed graph's
 shifts for the SVGA path, and graph construction + layout changes + gathers
 + max folding for the KNN baseline. The Grapher's projection conv, the same
 for both mechanisms, is not timed. All of profile's samples alternate
-(time_interleaved, the package's one sample loop).
+(time_interleaved, the package's one sample loop). Each plan entry's row
+also carries its input shape and traced peak bytes (entry_peaks), from one
+untimed walk: a figure the host's load cannot move.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import os
 import platform
 import subprocess
 import time
+import tracemalloc
 from pathlib import Path
 from typing import Callable
 
@@ -112,6 +115,33 @@ def time_interleaved(steps: list[Callable[[], object]], reps: int,
     return samples
 
 
+def entry_peaks(x: np.ndarray, weights, cfg: VariantConfig) -> list[tuple[list[int], int]]:
+    """(input shape, peak bytes) of each forward_entries entry, from one walk
+    under tracemalloc: an entry's peak is the most bytes traced while it
+    ran, above those traced just before it began, its input among them.
+    Tracing is started for the walk and stopped after it, or, when it is
+    already on (PYTHONTRACEMALLOC), left on, with its peak reset."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        rows = []
+        entries = forward_entries(x, weights, cfg)
+        t = x
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        for _, out in entries:
+            peak = tracemalloc.get_traced_memory()[1]
+            rows.append((list(t.shape), peak - base))
+            t = out
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+        return rows
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
 def _row(times: list[int], macs: int | None = None) -> dict:
     row = dict(zip(("median_ns", "p10_ns", "p90_ns"), percentiles_ns(times)))
     if macs is not None:  # MACs per ns is GMAC/s
@@ -125,7 +155,8 @@ def profile(cfg: VariantConfig, size: int = 224, batch: int = 1,
     input of `forward --seed 0`: model_forward end to end, and one row per
     plan entry, the gap between two of forward_entries' yields (the head's
     holds the pool and the classifier too), taking turns with
-    aggregation_steps."""
+    aggregation_steps. After the timed rounds, one more walk reads each
+    entry's input shape and traced peak (entry_peaks)."""
     if reps < MIN_REPS:
         raise ValueError(f"reps must be >= {MIN_REPS}, got {reps}")
     shapes = layer_shapes(cfg, size, size)
@@ -147,8 +178,10 @@ def profile(cfg: VariantConfig, size: int = 224, batch: int = 1,
     end_to_end, _, *aggregation_times = time_interleaved(steps, reps, warmup=5)
     total = _row(end_to_end, sum(macs for _, macs, _ in shapes) * batch)
     # each row's gaps begin with the walk's warm-up rounds
-    layers = [{"name": layer.name, "kind": layer.kind, "output": list(hw),
-               **_row(row[-reps:], macs * batch)} for (layer, macs, hw), row in zip(shapes, gaps)]
+    layers = [{"name": layer.name, "kind": layer.kind, "input": shape, "output": list(hw),
+               **_row(row[-reps:], macs * batch), "peak_bytes": peak}
+              for (layer, macs, hw), row, (shape, peak)
+              in zip(shapes, gaps, entry_peaks(x, weights, cfg), strict=True)]
     side = size // 32
     return {
         "variant": cfg.name, "size": size, "batch": batch, "reps": reps,

@@ -162,14 +162,18 @@ def _cmd_verify(args) -> int:
 def _cmd_profile(args) -> int:
     report = profile(get_variant(args.variant), args.size, args.batch, args.reps)
     print(f"MobileViG-{args.variant} @ {args.size}x{args.size}, batch {args.batch}: "
-          f"median, p10 and p90 of {args.reps} reps in ms")
-    rows = [*((r["name"], r["output"], r) for r in report["layers"]),
-            ("end-to-end", [], report["end_to_end"]),
-            *((f"{r['mechanism']} k={r['k']}", r["map"][2:], r) for r in report["aggregation"])]
-    for name, hw, r in rows:
+          f"input shape, output size, median, p10 and p90 of {args.reps} reps in ms, "
+          f"traced peak in MB")
+    rows = [*((r["name"], r["input"], r["output"], r) for r in report["layers"]),
+            ("end-to-end", [], [], report["end_to_end"]),
+            *((f"{r['mechanism']} k={r['k']}", r["map"], r["map"][2:], r)
+              for r in report["aggregation"])]
+    for name, shape, hw, r in rows:
         ms = "".join(f"{r[key] / 1e6:9.3f}" for key in ("median_ns", "p10_ns", "p90_ns"))
+        peak = f"{r['peak_bytes'] / 1e6:9.3f}" if "peak_bytes" in r else " " * 9
         rate = f" {r['macs'] / 1e6:10.1f} MMAC {r['gmac_per_s']:6.2f} GMAC/s" if "macs" in r else ""
-        print(f"{name:<12}{'x'.join(map(str, hw)):>8}{ms}{rate}")
+        print(f"{name:<12}{'x'.join(map(str, shape)):>16}{'x'.join(map(str, hw)):>8}"
+              f"{ms}{peak}{rate}".rstrip())
     if args.json_path:
         _write_json(args.json_path, report)
     ratio = report["rows_over_end_to_end"]

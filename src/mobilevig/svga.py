@@ -171,18 +171,18 @@ def grapher_forward(x: Array, convs: tuple[ConvBn, ...], k: int) -> Array:
     w_in, proj, w_out = convs
     t = conv_bn(x, w_in)
     t = conv_bn(concat_channels(t, mrconv_aggregate(t, k)), proj)
-    t = gelu(t)
+    gelu(t, out=t)
     t = conv_bn(t, w_out)
-    return elem_add(t, x)
+    return elem_add(t, x, out=t)
 
 
 def ffn_forward(x: Array, convs: tuple[ConvBn, ...]) -> Array:
     """Two pointwise layers with a GeLU between."""
     w1, w2 = convs
     t = conv_bn(x, w1)
-    t = gelu(t)
+    gelu(t, out=t)
     t = conv_bn(t, w2)
-    return elem_add(t, x)
+    return elem_add(t, x, out=t)
 
 
 def svga_block_forward(x: Array, convs: tuple[ConvBn, ...], k: int) -> Array:

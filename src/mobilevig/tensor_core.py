@@ -1,7 +1,8 @@
 """Dense NCHW tensor kernels: roll, convolution, inference batch norm, GeLU,
 pooling, concatenation and elementwise arithmetic.
 
-All kernels are pure functions of numpy arrays. The main path is float32;
+Without `out=` (below), every kernel is a pure function of numpy arrays
+that writes none of its arguments. The main path is float32;
 float64 inputs are supported (needed by the gradient checker). Every kernel
 computes each output element with an operation sequence that does not depend
 on the element's position or on how many other elements are in the call:
@@ -45,6 +46,22 @@ own value. The package needs numpy only.
 
 `conv_bn` folds inference batch norm into the conv weights and bias on every
 call, so a conv and its batch norm cost one pass over the output.
+
+Three kernels take an explicit `out=`, by keyword: `gelu(x, out=x)`,
+`elem_add(a, b, out=a)` and `conv_bn(x, p, out=x)` (`conv2d` likewise) for
+a stride-1 depthwise conv. The result is written into `out` with the bits
+of the pure call. `out` must be a writeable C-contiguous array of the
+result's shape and dtype, and either one of the inputs itself or sharing
+no memory with them; anything else raises ValueError. GeLU and the add
+are elementwise: each block of the output is computed from the same
+block of the input alone. The depthwise conv copies each channel block of
+an image into its zero-bordered scratch before it writes that block's
+output, and the blocks are disjoint in channels, so its output may
+overwrite its input too. A dense conv may not: every output channel reads
+every input channel, so any `out` raises. The model's block forwards use
+these forms on their own temporaries only, which nothing reads again;
+callers that keep their inputs (the gradient checker, the tests) call the
+pure forms.
 
 Every BLAS call of the package (the dense conv's GEMMs, `linear` and
 `knn.knn_graph`'s Gram product) goes through `_matmul`, which sets each
@@ -204,6 +221,25 @@ class ConvSpec:
         return oh, ow
 
 
+def _check_out(out: Array, shape: tuple[int, ...], dtype, *inputs: Array) -> None:
+    # out of an in-place form (see the module docstring). Partial overlap is
+    # refused because a blocked kernel would write an output block before
+    # it reads a later input block that the output block covers. Messages
+    # are formatted on failure only: formatting a dtype allocates a number
+    # of bytes that varies from process to process, which profile's traced
+    # peaks would show
+    if not isinstance(out, np.ndarray):
+        raise ValueError(f"out must be a numpy array, got {type(out).__name__}")
+    if out.shape != shape:
+        raise ValueError(f"out shape {out.shape} != result shape {shape}")
+    if out.dtype != dtype:
+        raise ValueError(f"out dtype {out.dtype} != result dtype {np.dtype(dtype)}")
+    if not (out.flags.c_contiguous and out.flags.writeable):
+        raise ValueError("out must be C-contiguous and writeable")
+    if not all(out is a or not np.may_share_memory(out, a) for a in inputs):
+        raise ValueError("out must be an input itself or share no memory with the inputs")
+
+
 def _check_nchw(x: Array, name: str = "x") -> None:
     _require(x.ndim == 4, f"{name} must be 4-D (n, c, h, w), got {x.ndim}-D")
     _require(all(d >= 1 for d in x.shape), f"{name} has a zero-sized dimension")
@@ -319,7 +355,7 @@ def _pad_hw(x: Array, p: int) -> Array:
 
 
 def _conv_depthwise(x: Array, weight: Array, bias: Array, padding: int,
-                    oh: int, ow: int) -> Array:
+                    oh: int, ow: int, out: Array | None = None) -> Array:
     n, c, h, w = x.shape
     _, _, kh, kw = weight.shape
     hp, wp = h + 2 * padding, w + 2 * padding
@@ -333,12 +369,15 @@ def _conv_depthwise(x: Array, weight: Array, bias: Array, padding: int,
     maps = buf[:, :hp * wp].reshape(cb, hp, wp)
     acc = np.empty((cb, oh, wp), dtype=x.dtype)
     term = np.empty_like(acc)
-    out = np.empty((n, c, oh, ow), dtype=x.dtype)
+    if out is None:
+        out = np.empty((n, c, oh, ow), dtype=x.dtype)
     saved = np.setbufsize(_DW_BUFSIZE)
     try:
         for i in range(n):
             for c0 in range(0, c, cb):
                 m = min(cb, c - c0)
+                # the block's input is copied before its output is written,
+                # so out may be x itself
                 maps[:m, padding:padding + h, padding:padding + w] = x[i, c0:c0 + m]
                 a, t = acc[:m], term[:m]
                 # the op sequence per element is acc = tap * w, then
@@ -360,9 +399,10 @@ def _conv_depthwise(x: Array, weight: Array, bias: Array, padding: int,
     return out
 
 
-def conv2d(x: Array, spec: ConvSpec, weight: Array, bias: Array) -> Array:
+def conv2d(x: Array, spec: ConvSpec, weight: Array, bias: Array, *,
+           out: Array | None = None) -> Array:
     """Dense (groups=1) or stride-1 depthwise 2-D cross-correlation with zero
-    padding."""
+    padding. out= is for a depthwise conv only, and may be x itself."""
     _check_nchw(x)
     _require(x.shape[1] == spec.in_channels,
              f"input has {x.shape[1]} channels, spec expects {spec.in_channels}")
@@ -377,7 +417,11 @@ def conv2d(x: Array, spec: ConvSpec, weight: Array, bias: Array) -> Array:
     if spec.groups == spec.in_channels == spec.out_channels:
         _require(spec.stride == 1,
                  f"depthwise convs support stride 1 only, got stride={spec.stride}")
-        return _conv_depthwise(x, weight, bias, spec.padding, oh, ow)
+        if out is not None:
+            _check_out(out, (x.shape[0], spec.out_channels, oh, ow), x.dtype, x)
+        return _conv_depthwise(x, weight, bias, spec.padding, oh, ow, out)
+    _require(out is None, "out= is for a depthwise conv only: each output channel "
+                          "of a dense conv reads every input channel")
     _require(spec.groups == 1,
              f"only dense (groups=1) and depthwise convs are supported, got groups="
              f"{spec.groups} for {spec.in_channels} -> {spec.out_channels} channels")
@@ -407,7 +451,7 @@ def batchnorm_infer(x: Array, gamma: Array, beta: Array, mean: Array,
     return out
 
 
-def _gelu_float32(x: Array) -> Array:
+def _gelu_float32(x: Array, out: Array | None = None) -> Array:
     # x * Phi(x), with Phi(x) = (1 + tanh(xl * g(t))) / 2, xl = max(x, -S) and
     # t = min(xl^2, 32), in 18 ufunc passes per block. xl is also the final
     # factor: it equals x except below -S, where Phi is exactly 0 and the
@@ -418,8 +462,11 @@ def _gelu_float32(x: Array) -> Array:
     # are silenced. Fixed-size blocks, two scratch buffers and in-place ufuncs:
     # each element sees the same exactly rounded float32 op sequence whatever
     # its position or the array size, so results are repacking invariant.
+    # The first pass reads a block of x before any pass writes that block of
+    # out, so out may be x itself.
     flat = x.reshape(-1)
-    out = np.empty(x.shape, dtype=np.float32)
+    if out is None:
+        out = np.empty(x.shape, dtype=np.float32)
     out_flat = out.reshape(-1)
     lo, t_max = _gelu_bounds()
     n = min(flat.size, _GELU_BLOCK)
@@ -530,8 +577,9 @@ def _phi(x: Array) -> Array:
     return phi.astype(np.result_type(x, 1.0), copy=False)
 
 
-def gelu(x: Array) -> Array:
-    """GeLU, x * Phi(x), with Phi the standard normal CDF (erf form).
+def gelu(x: Array, *, out: Array | None = None) -> Array:
+    """GeLU, x * Phi(x), with Phi the standard normal CDF (erf form), into
+    out when given (it may be x itself).
 
     float32: Phi = (1 + tanh(x * g(x^2))) / 2 with g a fitted polynomial
     (absolute GeLU error at most 2e-6 against float64, checked over every
@@ -541,15 +589,17 @@ def gelu(x: Array) -> Array:
     every dtype gelu(+inf) = +inf, gelu(-inf) = -0.0 and gelu(nan) = nan,
     with no floating-point warning.
     """
+    if out is not None:
+        _check_out(out, np.shape(x), np.result_type(x, 1.0), x)
     if getattr(x, "dtype", None) == np.float32:
-        return _gelu_float32(np.asarray(x))
+        return _gelu_float32(np.asarray(x), out)
     # tiny x underflows harmlessly: in x / sqrt 2, in _erf's y * y and in
     # the product below
     with np.errstate(under="ignore"):
         phi = _phi(x)
         # a finite stand-in for -inf, where Phi is exactly 0: the product is
         # then -0.0, where -inf * 0 would be nan with an invalid-value warning
-        out = np.maximum(x, np.finfo(phi.dtype).min)
+        out = np.maximum(x, np.finfo(phi.dtype).min, out=out)
         out *= phi
     return out
 
@@ -578,9 +628,13 @@ def _check_same_shape(a: Array, b: Array) -> None:
     _require(a.shape == b.shape, f"shape mismatch: {a.shape} vs {b.shape}")
 
 
-def elem_add(a: Array, b: Array) -> Array:
+def elem_add(a: Array, b: Array, *, out: Array | None = None) -> Array:
+    """a + b, into out when given (it may be a or b itself)."""
     _check_same_shape(a, b)
-    return a + b
+    if out is None:
+        return a + b
+    _check_out(out, a.shape, np.result_type(a, b), a, b)
+    return np.add(a, b, out=out)
 
 
 def elem_sub(a: Array, b: Array) -> Array:
@@ -626,8 +680,9 @@ class ConvBn:
     eps: float = 1e-5
 
 
-def conv_bn(x: Array, p: ConvBn) -> Array:
-    """conv2d then batchnorm_infer, with the batch norm folded into the conv.
+def conv_bn(x: Array, p: ConvBn, *, out: Array | None = None) -> Array:
+    """conv2d then batchnorm_infer, with the batch norm folded into the conv;
+    out= as conv2d's, for a stride-1 depthwise conv only.
 
     The folded weight is weight * scale and the folded bias is
     (bias - mean) * scale + beta, with scale = gamma / sqrt(var + eps), all
@@ -643,5 +698,5 @@ def conv_bn(x: Array, p: ConvBn) -> Array:
     scale = np.asarray(p.gamma, dt) / np.sqrt(np.asarray(p.var, dt) + p.eps)
     weight = np.asarray(p.weight, dt) * scale.reshape(-1, 1, 1, 1)
     bias = (np.asarray(p.bias, dt) - np.asarray(p.mean, dt)) * scale + np.asarray(p.beta, dt)
-    return conv2d(x, p.spec, weight, bias)
+    return conv2d(x, p.spec, weight, bias, out=out)
 

@@ -306,6 +306,21 @@ def test_layer_plan_matches_forward(monkeypatch, assert_bitwise, name):
     assert count_macs(cfg, 64, 64) == sum(macs for _, macs, _ in shapes)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_forward_entries_writes_neither_its_input_nor_what_it_yielded(dtype):
+    # the block forwards write GeLU, the depthwise conv and the residual add
+    # over their own temporaries only: every array the walk was given or
+    # has yielded keeps its bits to the end of the walk
+    cfg = VARIANTS["Ti"]
+    x = rand((2, 3, 64, 64), seed=6).astype(dtype)
+    kept = [(x, x.copy())]
+    for _, t in forward_entries(x, build_model(cfg, 0), cfg):
+        kept.append((t, t.copy()))
+    assert len(kept) == len(layer_plan(cfg)) + 1
+    for t, copy in kept:
+        assert t.tobytes() == copy.tobytes()
+
+
 @pytest.mark.parametrize("weights_variant,shape,match", [
     ("B", (1, 3, 64, 64), "'B'.*'Ti'"),
     ("Ti", (1, 1, 64, 64), r"input must be \(n, 3, h, w\)"),

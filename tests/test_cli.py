@@ -3,6 +3,7 @@ import re
 import struct
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -124,10 +125,13 @@ def test_profile_rows_follow_the_plan(capsys, tmp_path):
     assert (doc["variant"], doc["size"], doc["batch"], doc["reps"]) == ("Ti", 64, 2, 30)
     shapes = layer_shapes(cfg, 64, 64)
     assert len(doc["layers"]) == len(shapes)
+    shape = [2, 3, 64, 64]
     for row, (layer, macs, hw) in zip(doc["layers"], shapes):
         assert (row["name"], row["kind"]) == (layer.name, layer.kind)
-        assert (row["macs"], row["output"]) == (2 * macs, list(hw))
+        assert (row["macs"], row["input"], row["output"]) == (2 * macs, shape, list(hw))
         assert row["p10_ns"] <= row["median_ns"] <= row["p90_ns"]
+        assert isinstance(row["peak_bytes"], int) and row["peak_bytes"] > 0
+        shape = [2, layer.convs[-1][1].out_channels, *hw]
     assert doc["end_to_end"]["macs"] == 2 * count_macs(cfg, 64, 64)
     assert [(r["mechanism"], r["k"], r["map"]) for r in doc["aggregation"]] == [
         ("svga", 2, [2, 256, 2, 2]), ("knn", 3, [2, 256, 2, 2])]
@@ -148,6 +152,61 @@ def test_profile_at_size_32_gives_the_svga_aggregation_row_only(capsys, tmp_path
     doc = json.loads(out_json.read_text(), parse_constant=_reject_constant)
     assert [(r["mechanism"], r["k"], r["map"]) for r in doc["aggregation"]] == [
         ("svga", 2, [1, 256, 1, 1])]
+
+
+# Traced peak bytes of each of Ti's 17 plan entries at 64x64, batch 1. The
+# stem and the first two stages read lower than before the block forwards
+# wrote GeLU, the depthwise conv and the residual add in place (964,772,
+# 964,700, 546,028 and 546,028 bytes for stage1.0 to stage2.1); from stage
+# 3 on, each entry's peak is set by conv_bn's per-call weight fold, not
+# by its activations
+TI_64_PEAKS = [487064, 792644, 792572, 323952, 459916, 459916, 840256, 723296, 723296,
+               723296, 723296, 723296, 723296, 2057024, 1406464, 1406464, 1402272]
+
+
+def test_entry_peaks_are_pinned_to_the_byte(run_with_blas_threads):
+    # traced allocation is a function of the code and the numpy build, not
+    # of the host's load: profile's input, after one warm-up forward, with
+    # BLAS at one thread (a thread count above one adds the GEMM pin's
+    # restore list). The first walk after tracing starts can read up to
+    # 112 bytes more per entry, depending on the process's history (Python
+    # reuses small objects it allocated before tracing began), so a
+    # warm-up walk comes first; the second walk read these figures in
+    # every process tried, with and without the caller's environment
+    out = run_with_blas_threads(
+        "import json\n"
+        "import numpy as np\n"
+        "from mobilevig.arch import build_model, get_variant, model_forward\n"
+        "from mobilevig.bench import entry_peaks\n"
+        "cfg = get_variant('Ti')\n"
+        "weights = build_model(cfg)\n"
+        "x = np.random.default_rng([0, 1]).standard_normal((1, 3, 64, 64)).astype(np.float32)\n"
+        "model_forward(x, weights, cfg)\n"
+        "entry_peaks(x, weights, cfg)\n"
+        "print(json.dumps(entry_peaks(x, weights, cfg)))\n", 1)
+    rows = json.loads(out)
+    assert [peak for _, peak in rows] == TI_64_PEAKS
+    assert [shape for shape, _ in rows][:4] == [[1, 3, 64, 64]] + [[1, 42, 16, 16]] * 3
+
+
+def test_entry_peaks_leave_tracing_as_they_found_it():
+    # started for the walk and stopped after it, or left on when it was on;
+    # either way a peak counts no byte traced before its entry
+    cfg = get_variant("Ti")
+    weights = build_model(cfg, skeleton=True)
+    x = np.zeros((1, 3, 32, 32), np.float32)
+    was_tracing = tracemalloc.is_tracing()
+    assert len(bench.entry_peaks(x, weights, cfg)) == 17
+    assert tracemalloc.is_tracing() == was_tracing
+    tracemalloc.start()
+    try:
+        held = np.ones(8 << 20, np.uint8)
+        rows = bench.entry_peaks(x, weights, cfg)
+        assert tracemalloc.is_tracing()
+        assert all(0 < peak < held.nbytes for _, peak in rows)
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
 
 
 class _TickingClock:

@@ -12,6 +12,7 @@ from mobilevig import tensor_core
 from mobilevig.tensor_core import (
     _CHUNK,
     _DW_BLOCK,
+    _GELU_BLOCK,
     _pad_hw,
     ConvBn,
     ConvSpec,
@@ -28,6 +29,8 @@ from mobilevig.tensor_core import (
     linear,
     roll_2d,
 )
+
+from helpers import identity_conv_bn
 
 
 def rand(shape, seed=0, dtype=np.float32):
@@ -795,6 +798,122 @@ def test_batchnorm_in_place_matches_allocating_bitwise():
     assert np.array_equal(got, want)
     for before, after in zip(saved, (x, gamma, beta, mean, var)):
         assert np.array_equal(before, after)
+
+
+# ------------------------------------------------------------ out= forms
+# gelu, elem_add and the depthwise conv_bn write into out with the pure
+# call's bits, zero signs included; out may be the input itself
+
+def _gelu_specials(dtype):
+    # +-0, +-inf, NaN, subnormals, +-S and values around it, then enough
+    # seeded normals to fill several of the kernels' blocks
+    sat = float(np.float32(tensor_core._GELU_SAT))
+    sub = np.finfo(dtype).smallest_subnormal
+    big = np.finfo(dtype).max
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, sub, -sub, 7 * sub, -7 * sub,
+                        np.finfo(dtype).smallest_normal / 3, sat, -sat,
+                        np.nextafter(sat, 0.0), -np.nextafter(sat, 0.0), big, -big], dtype)
+    x = rand((2 * _GELU_BLOCK + 1001,), seed=40, dtype=dtype) * 4
+    x[::4099][:special.size] = special
+    return x
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_out_matches_the_pure_call_bitwise(dtype, assert_bitwise):
+    x = _gelu_specials(dtype)
+    with np.errstate(all="raise"):
+        want = gelu(x)
+        into = np.empty_like(x)
+        assert gelu(x, out=into) is into
+        assert gelu(x, out=x) is x
+    assert_bitwise(into, want)
+    assert_bitwise(x, want)
+
+
+def _dw_conv_bn(c, kernel, padding, dtype, seed):
+    # a depthwise ConvBn with a batch norm that is not the identity, and
+    # weights of small integers with zeros, so that outputs tie at +-0
+    rng = np.random.default_rng([seed, c])
+    spec = ConvSpec(c, c, kernel, padding=padding, groups=c)
+    weight = rng.integers(-2, 3, size=spec.weight_shape()).astype(dtype)
+    bias = rng.integers(-2, 3, size=c).astype(dtype)
+    return ConvBn(spec, weight, bias, gamma=rng.uniform(0.5, 2, c), beta=rng.normal(0, 0.1, c),
+                  mean=rng.normal(0, 0.1, c), var=rng.uniform(0.5, 2, c), eps=1e-5)
+
+
+# per map size, a channel count whose image spans more than one block
+_DW_OUT_SIZES = {56: 24, 14: 400, 7: 1900}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kernel,padding", [((3, 3), 1), ((3, 3), 0), ((1, 1), 0)])
+@pytest.mark.parametrize("size", list(_DW_OUT_SIZES))
+def test_depthwise_out_matches_the_pure_call_bitwise(size, kernel, padding, dtype,
+                                                     signed_zero_input, assert_bitwise):
+    c = _DW_OUT_SIZES[size]
+    p = _dw_conv_bn(c, kernel, padding, dtype, seed=41)
+    oh, ow = p.spec.out_size(size, size)
+    assert c * oh * (size + 2 * padding) > _DW_BLOCK  # several channel blocks per image
+    x = signed_zero_input((3, c, size, size), dtype, seed=42)
+    want = conv_bn(x, p)
+    into = np.empty((3, c, oh, ow), dtype)
+    assert conv_bn(x, p, out=into) is into
+    assert_bitwise(into, want)
+    if into.shape == x.shape:
+        assert conv_bn(x, p, out=x) is x
+        assert_bitwise(x, want)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_elem_add_out_matches_the_pure_call_bitwise(dtype, signed_zero_input, assert_bitwise):
+    a = signed_zero_input((2, 3, 5, 7), dtype, seed=43)
+    b = signed_zero_input((2, 3, 5, 7), dtype, seed=44)
+    want = elem_add(a, b)
+    into = np.empty_like(a)
+    assert elem_add(a, b, out=into) is into
+    assert_bitwise(into, want)
+    b2 = b.copy()
+    assert elem_add(a, b2, out=b2) is b2
+    assert_bitwise(b2, want)
+    assert elem_add(a, b, out=a) is a
+    assert_bitwise(a, want)
+
+
+def _bad_outs(x):
+    # (message, input, out): an out of the wrong shape, of the wrong dtype,
+    # not C-contiguous, not an array, and one that overlaps the input
+    # without being it
+    other = np.float64 if x.dtype == np.float32 else np.float32
+    wide = np.empty((*x.shape[:-1], 2 * x.shape[-1]), x.dtype)
+    buf = np.empty(x.size + 1, x.dtype)
+    shifted_in = buf[:-1].reshape(x.shape)
+    shifted_in[...] = x
+    return [("out shape", x, np.empty((1, *x.shape), x.dtype)),
+            ("out dtype", x, np.empty(x.shape, other)),
+            ("C-contiguous", x, wide[..., ::2]),
+            ("numpy array", x, x.tolist()),
+            ("share no memory", shifted_in, buf[1:].reshape(x.shape))]
+
+
+@pytest.mark.parametrize("kernel", ["gelu", "elem_add", "conv_bn"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_out_forms_reject_a_bad_out(kernel, dtype):
+    p = _dw_conv_bn(6, (3, 3), 1, dtype, seed=46)
+    call = {"gelu": lambda x, out: gelu(x, out=out),
+            "elem_add": lambda x, out: elem_add(x, x, out=out),
+            "conv_bn": lambda x, out: conv_bn(x, p, out=out)}[kernel]
+    for message, x, out in _bad_outs(rand((2, 6, 7, 7), seed=45, dtype=dtype)):
+        with pytest.raises(ValueError, match=message):
+            call(x, out)
+
+
+def test_dense_conv_takes_no_out():
+    x = rand((1, 4, 6, 6), seed=47)
+    dense = identity_conv_bn(ConvSpec(4, 4, (1, 1)), rand((4, 4, 1, 1), seed=48))
+    with pytest.raises(ValueError, match="depthwise conv only"):
+        conv_bn(x, dense, out=np.empty_like(x))
+    with pytest.raises(ValueError, match="depthwise conv only"):
+        conv2d(x, dense.spec, dense.weight, dense.bias, out=x)
 
 
 # ----------------------------------------------------- concat and elementwise
