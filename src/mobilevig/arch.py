@@ -19,7 +19,6 @@ from .tensor_core import (
     Array,
     ConvBn,
     ConvSpec,
-    _require,
     conv_bn,
     elem_add,
     gelu,
@@ -174,8 +173,8 @@ def mbconv_forward(x: Array, w: tuple[ConvBn, ...]) -> Array:
 
 
 def stem_forward(x: Array, stem: tuple[ConvBn, ...]) -> Array:
-    _require(x.shape[2] % 4 == 0 and x.shape[3] % 4 == 0,
-             f"stem needs spatial dims divisible by 4, got {x.shape[2]}x{x.shape[3]}")
+    if not (x.shape[2] % 4 == 0 and x.shape[3] % 4 == 0):
+        raise ValueError(f"stem needs spatial dims divisible by 4, got {x.shape[2]}x{x.shape[3]}")
     t = conv_bn(x, stem[0])
     gelu(t, out=t)
     t = conv_bn(t, stem[1])
@@ -183,8 +182,8 @@ def stem_forward(x: Array, stem: tuple[ConvBn, ...]) -> Array:
 
 
 def downsample_forward(x: Array, w: tuple[ConvBn, ...]) -> Array:
-    _require(x.shape[2] >= 2 and x.shape[3] >= 2,
-             "downsample needs spatial dims >= 2")
+    if not (x.shape[2] >= 2 and x.shape[3] >= 2):
+        raise ValueError("downsample needs spatial dims >= 2")
     return conv_bn(x, *w)
 
 
@@ -193,12 +192,12 @@ def forward_entries(x: Array, weights: ModelWeights, cfg: VariantConfig):
     layer_plan entry, where t is that entry's output; the head entry's is
     its map before the pool. The variant and the input shape are checked
     before the first yield, so bad input raises on the first next()."""
-    _require(weights.variant == cfg.name,
-             f"weights are for variant {weights.variant!r}, config is {cfg.name!r}")
-    _require(x.ndim == 4 and x.shape[1] == 3,
-             f"input must be (n, 3, h, w), got {x.shape}")
-    _require(x.shape[2] % 32 == 0 and x.shape[3] % 32 == 0,
-             f"input dims must be divisible by 32, got {x.shape[2]}x{x.shape[3]}")
+    if weights.variant != cfg.name:
+        raise ValueError(f"weights are for variant {weights.variant!r}, config is {cfg.name!r}")
+    if not (x.ndim == 4 and x.shape[1] == 3):
+        raise ValueError(f"input must be (n, 3, h, w), got {x.shape}")
+    if not (x.shape[2] % 32 == 0 and x.shape[3] % 32 == 0):
+        raise ValueError(f"input dims must be divisible by 32, got {x.shape[2]}x{x.shape[3]}")
     t = x
     # blocks are looked up as module globals at call time, so a patched
     # name (the benchmark's tracer wraps them) is the one that runs
@@ -274,8 +273,8 @@ def layer_shapes(cfg: VariantConfig, h: int,
     the head) have MACs; the roll, subtract and max steps of the graph
     aggregation are MAC-free.
     """
-    _require(h % 32 == 0 and w % 32 == 0,
-             f"input dims must be divisible by 32, got {h}x{w}")
+    if not (h % 32 == 0 and w % 32 == 0):
+        raise ValueError(f"input dims must be divisible by 32, got {h}x{w}")
     rows = []
     for layer in layer_plan(cfg):
         macs = 0

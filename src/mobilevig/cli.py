@@ -22,9 +22,12 @@ from .weights_io import load_into_model, save_weights
 
 
 def _positive_int(value: str) -> int:
-    n = int(value)
+    try:
+        n = int(value)
+    except ValueError:
+        n = 0
     if n <= 0:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value!r}")
     return n
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .svga import FixedGraph
-from .tensor_core import Array, _matmul, _require
+from .tensor_core import Array, _matmul
 
 _U = 2.0 ** -53  # float64 unit roundoff
 # Each underflowing product or FMA loses at most 2^-1075; the certificate
@@ -118,7 +118,8 @@ def knn_graph(x: Array, k: int) -> KnnAdjacency:
       factor 1.5 on its way to the total: 6c * 2^-1075 < c * 2^-1072.
     The bound assumes no overflow, which holds while max |f|^2 <= DBL_MAX/64.
     """
-    _require(x.ndim == 4, "x must be (n, c, h, w)")
+    if x.ndim != 4:
+        raise ValueError("x must be (n, c, h, w)")
     n, c, h, w = x.shape
     num = h * w
     if not 1 <= k < num:
@@ -182,13 +183,13 @@ def knn_aggregate(x: Array, adj: KnnAdjacency) -> Array:
     bounds check (mode="clip"), which would buffer each output.
     """
     n, c, h, w = x.shape
-    _require(adj.h == h and adj.w == w,
-             f"adjacency is {adj.h}x{adj.w} but input is {h}x{w}")
-    _require(adj.neighbor_idx.shape[0] == n,
-             f"adjacency batch {adj.neighbor_idx.shape[0]} != input batch {n}")
+    if not (adj.h == h and adj.w == w):
+        raise ValueError(f"adjacency is {adj.h}x{adj.w} but input is {h}x{w}")
+    if adj.neighbor_idx.shape[0] != n:
+        raise ValueError(f"adjacency batch {adj.neighbor_idx.shape[0]} != input batch {n}")
     idx = adj.neighbor_idx
-    _require(idx.size == 0 or (idx.min() >= 0 and idx.max() < h * w),
-             f"neighbour indices must be in [0, {h * w})")
+    if not (idx.size == 0 or (idx.min() >= 0 and idx.max() < h * w)):
+        raise ValueError(f"neighbour indices must be in [0, {h * w})")
     nodes = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).reshape(n, h * w, c)
     m = nodes  # the self term
     acc, gathered = np.empty_like(nodes), np.empty_like(nodes)

@@ -25,7 +25,6 @@ from .tensor_core import (
     Array,
     ConvBn,
     ConvSpec,
-    _require,
     concat_channels,
     conv_bn,
     elem_add,
@@ -50,7 +49,8 @@ class FixedGraph:
 
 def build_fixed_offsets(h: int, w: int, k: int) -> FixedGraph:
     """Offsets {m*k : m >= 1, m*k < bound} for each image axis."""
-    _require(h >= 1 and w >= 1, "grid dims must be >= 1")
+    if not (h >= 1 and w >= 1):
+        raise ValueError("grid dims must be >= 1")
     if k < 1:
         raise ValueError(f"connection stride k must be >= 1, got {k}")
     return FixedGraph(h=h, w=w,
@@ -64,7 +64,8 @@ def fold_shifts(h: int, w: int, k: int) -> list[tuple[int, int]]:
     from m = 0. mrconv_aggregate takes the minimum over exactly these
     windows; the grad checker's forward-and-backward function and its exact
     loss fold over them in this order."""
-    _require(k >= 1, f"connection stride k must be >= 1, got {k}")
+    if k < 1:
+        raise ValueError(f"connection stride k must be >= 1, got {k}")
     return [(m * k, 0) for m in range(0, -(-h // k))] + \
            [(0, m * k) for m in range(0, -(-w // k))]
 
@@ -112,7 +113,8 @@ def mrconv_aggregate(x: Array, k: int) -> Array:
     The column and row windows are taken by _window_min in O(log(h / k))
     and O(log(w / k)) passes.
     """
-    _require(k >= 1, f"connection stride k must be >= 1, got {k}")
+    if k < 1:
+        raise ValueError(f"connection stride k must be >= 1, got {k}")
     x = np.ascontiguousarray(x)
     p, q, xj = (np.empty(x.shape, x.dtype) for _ in range(3))
     cols = _window_min(x, 2, k, (p, q))
@@ -136,8 +138,8 @@ def gather_aggregate(x: Array, graph: FixedGraph) -> Array:
     The input is not modified.
     """
     h, w = x.shape[2], x.shape[3]
-    _require(graph.h == h and graph.w == w,
-             f"graph is {graph.h}x{graph.w} but input is {h}x{w}")
+    if not (graph.h == h and graph.w == w):
+        raise ValueError(f"graph is {graph.h}x{graph.w} but input is {h}x{w}")
     xj = np.zeros(x.shape, x.dtype)
     buf = np.empty(x.shape, x.dtype)
     # the indices are in range by construction, so "clip" never clips; it

@@ -75,6 +75,15 @@ where numpy's BLAS is not OpenBLAS, or there is no /proc, nothing is
 pinned; and the pin is process-global while a GEMM runs, so concurrent
 calls from several Python threads are not supported (one call's restore
 can unpin another's GEMM).
+
+An input check formats its error message only when it fails: each check is
+`if not <cond>: raise ValueError(f"...")` at its site, never a helper that
+takes the message as an argument. Two reasons: a message formatted on every
+call is paid for by every call that passes (about a quarter of a 1x16x2x2
+`conv_bn` call, and the verify suites make thousands of such calls); and
+formatting some values (a dtype) allocates a number of bytes that varies
+from process to process, which the traced per-entry peaks that `profile`
+reports, and a test pins to the byte, would show.
 """
 
 from __future__ import annotations
@@ -179,11 +188,6 @@ _ERF_R3 = _ratio(
      6.05183413124413191e-2, 2.33520497626869185e-3))
 
 
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise ValueError(msg)
-
-
 @dataclass(frozen=True)
 class ConvSpec:
     """Static configuration of a 2-D convolution (cross-correlation)."""
@@ -197,16 +201,22 @@ class ConvSpec:
 
     def __post_init__(self) -> None:
         kh, kw = self.kernel
-        _require(self.in_channels >= 1 and self.out_channels >= 1,
-                 "channel counts must be >= 1")
-        _require(kh >= 1 and kw >= 1, "kernel dims must be >= 1")
-        _require(self.stride >= 1, "stride must be >= 1")
-        _require(self.padding >= 0, "padding must be >= 0")
-        _require(self.groups >= 1, "groups must be >= 1")
-        _require(self.in_channels % self.groups == 0,
-                 f"in_channels {self.in_channels} not divisible by groups {self.groups}")
-        _require(self.out_channels % self.groups == 0,
-                 f"out_channels {self.out_channels} not divisible by groups {self.groups}")
+        if not (self.in_channels >= 1 and self.out_channels >= 1):
+            raise ValueError("channel counts must be >= 1")
+        if not (kh >= 1 and kw >= 1):
+            raise ValueError("kernel dims must be >= 1")
+        if self.stride < 1:
+            raise ValueError("stride must be >= 1")
+        if self.padding < 0:
+            raise ValueError("padding must be >= 0")
+        if self.groups < 1:
+            raise ValueError("groups must be >= 1")
+        if self.in_channels % self.groups != 0:
+            raise ValueError(f"in_channels {self.in_channels} not divisible by groups "
+                             f"{self.groups}")
+        if self.out_channels % self.groups != 0:
+            raise ValueError(f"out_channels {self.out_channels} not divisible by groups "
+                             f"{self.groups}")
 
     def weight_shape(self) -> tuple[int, int, int, int]:
         kh, kw = self.kernel
@@ -216,18 +226,16 @@ class ConvSpec:
         kh, kw = self.kernel
         oh = (h + 2 * self.padding - kh) // self.stride + 1
         ow = (w + 2 * self.padding - kw) // self.stride + 1
-        _require(oh >= 1 and ow >= 1,
-                 f"kernel {self.kernel} does not fit {h}x{w} input with padding {self.padding}")
+        if not (oh >= 1 and ow >= 1):
+            raise ValueError(f"kernel {self.kernel} does not fit {h}x{w} input with padding "
+                             f"{self.padding}")
         return oh, ow
 
 
 def _check_out(out: Array, shape: tuple[int, ...], dtype, *inputs: Array) -> None:
     # out of an in-place form (see the module docstring). Partial overlap is
     # refused because a blocked kernel would write an output block before
-    # it reads a later input block that the output block covers. Messages
-    # are formatted on failure only: formatting a dtype allocates a number
-    # of bytes that varies from process to process, which profile's traced
-    # peaks would show
+    # it reads a later input block that the output block covers
     if not isinstance(out, np.ndarray):
         raise ValueError(f"out must be a numpy array, got {type(out).__name__}")
     if out.shape != shape:
@@ -241,8 +249,10 @@ def _check_out(out: Array, shape: tuple[int, ...], dtype, *inputs: Array) -> Non
 
 
 def _check_nchw(x: Array, name: str = "x") -> None:
-    _require(x.ndim == 4, f"{name} must be 4-D (n, c, h, w), got {x.ndim}-D")
-    _require(all(d >= 1 for d in x.shape), f"{name} has a zero-sized dimension")
+    if x.ndim != 4:
+        raise ValueError(f"{name} must be 4-D (n, c, h, w), got {x.ndim}-D")
+    if not all(d >= 1 for d in x.shape):
+        raise ValueError(f"{name} has a zero-sized dimension")
 
 
 def roll_2d(x: Array, down: int, right: int) -> Array:
@@ -267,7 +277,8 @@ def _openblas() -> tuple[tuple[str, object, object], ...]:
             maps = f.read().splitlines()
     except OSError:
         return ()
-    paths = dict.fromkeys(line.split()[-1] for line in maps
+    # the pathname is everything after the fifth field: it may hold spaces
+    paths = dict.fromkeys(line.split(maxsplit=5)[-1] for line in maps
                           if "openblas" in line.lower() and ".so" in line)
     found = []
     for path in paths:
@@ -404,27 +415,28 @@ def conv2d(x: Array, spec: ConvSpec, weight: Array, bias: Array, *,
     """Dense (groups=1) or stride-1 depthwise 2-D cross-correlation with zero
     padding. out= is for a depthwise conv only, and may be x itself."""
     _check_nchw(x)
-    _require(x.shape[1] == spec.in_channels,
-             f"input has {x.shape[1]} channels, spec expects {spec.in_channels}")
+    if x.shape[1] != spec.in_channels:
+        raise ValueError(f"input has {x.shape[1]} channels, spec expects {spec.in_channels}")
     weight = np.asarray(weight, dtype=x.dtype)
     bias = np.asarray(bias, dtype=x.dtype)
-    _require(weight.shape == spec.weight_shape(),
-             f"weight shape {weight.shape} != expected {spec.weight_shape()}")
-    _require(bias.shape == (spec.out_channels,),
-             f"bias shape {bias.shape} != ({spec.out_channels},)")
+    if weight.shape != spec.weight_shape():
+        raise ValueError(f"weight shape {weight.shape} != expected {spec.weight_shape()}")
+    if bias.shape != (spec.out_channels,):
+        raise ValueError(f"bias shape {bias.shape} != ({spec.out_channels},)")
     oh, ow = spec.out_size(x.shape[2], x.shape[3])
 
     if spec.groups == spec.in_channels == spec.out_channels:
-        _require(spec.stride == 1,
-                 f"depthwise convs support stride 1 only, got stride={spec.stride}")
+        if spec.stride != 1:
+            raise ValueError(f"depthwise convs support stride 1 only, got stride={spec.stride}")
         if out is not None:
             _check_out(out, (x.shape[0], spec.out_channels, oh, ow), x.dtype, x)
         return _conv_depthwise(x, weight, bias, spec.padding, oh, ow, out)
-    _require(out is None, "out= is for a depthwise conv only: each output channel "
-                          "of a dense conv reads every input channel")
-    _require(spec.groups == 1,
-             f"only dense (groups=1) and depthwise convs are supported, got groups="
-             f"{spec.groups} for {spec.in_channels} -> {spec.out_channels} channels")
+    if out is not None:
+        raise ValueError("out= is for a depthwise conv only: each output channel "
+                         "of a dense conv reads every input channel")
+    if spec.groups != 1:
+        raise ValueError(f"only dense (groups=1) and depthwise convs are supported, got groups="
+                         f"{spec.groups} for {spec.in_channels} -> {spec.out_channels} channels")
     p = spec.padding
     xp = _pad_hw(x, p) if p else x
     return _conv_dense(xp, weight, bias, spec.stride, oh, ow)
@@ -432,8 +444,10 @@ def conv2d(x: Array, spec: ConvSpec, weight: Array, bias: Array, *,
 
 def _check_bn(c: int, gamma: Array, beta: Array, mean: Array, var: Array) -> None:
     for name, v in (("gamma", gamma), ("beta", beta), ("mean", mean), ("var", var)):
-        _require(np.shape(v) == (c,), f"{name} must have shape ({c},)")
-    _require(bool(np.all(np.asarray(var) >= 0)), "var must be non-negative")
+        if np.shape(v) != (c,):
+            raise ValueError(f"{name} must have shape ({c},)")
+    if not bool(np.all(np.asarray(var) >= 0)):
+        raise ValueError("var must be non-negative")
 
 
 def batchnorm_infer(x: Array, gamma: Array, beta: Array, mean: Array,
@@ -619,13 +633,14 @@ def gelu_grad(x: Array) -> Array:
 def concat_channels(a: Array, b: Array) -> Array:
     _check_nchw(a, "a")
     _check_nchw(b, "b")
-    _require(a.shape[0] == b.shape[0] and a.shape[2:] == b.shape[2:],
-             f"batch/spatial mismatch: {a.shape} vs {b.shape}")
+    if not (a.shape[0] == b.shape[0] and a.shape[2:] == b.shape[2:]):
+        raise ValueError(f"batch/spatial mismatch: {a.shape} vs {b.shape}")
     return np.concatenate([a, b], axis=1)
 
 
 def _check_same_shape(a: Array, b: Array) -> None:
-    _require(a.shape == b.shape, f"shape mismatch: {a.shape} vs {b.shape}")
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
 
 
 def elem_add(a: Array, b: Array, *, out: Array | None = None) -> Array:
@@ -655,13 +670,14 @@ def global_avg_pool(x: Array) -> Array:
 
 def linear(x: Array, weight: Array, bias: Array) -> Array:
     """Affine map per batch row: (n, f) @ weight(out, f)^T + bias."""
-    _require(x.ndim == 2, f"x must be 2-D, got {x.ndim}-D")
+    if x.ndim != 2:
+        raise ValueError(f"x must be 2-D, got {x.ndim}-D")
     weight = np.asarray(weight, dtype=x.dtype)
     bias = np.asarray(bias, dtype=x.dtype)
-    _require(weight.ndim == 2 and weight.shape[1] == x.shape[1],
-             f"weight shape {weight.shape} incompatible with input {x.shape}")
-    _require(bias.shape == (weight.shape[0],),
-             f"bias shape {bias.shape} != ({weight.shape[0]},)")
+    if not (weight.ndim == 2 and weight.shape[1] == x.shape[1]):
+        raise ValueError(f"weight shape {weight.shape} incompatible with input {x.shape}")
+    if bias.shape != (weight.shape[0],):
+        raise ValueError(f"bias shape {bias.shape} != ({weight.shape[0]},)")
     # one matvec per batch row, same rationale as the conv kernel
     return _matmul(weight, x[:, :, None])[:, :, 0] + bias
 
@@ -690,9 +706,9 @@ def conv_bn(x: Array, p: ConvBn, *, out: Array | None = None) -> Array:
     change to p's arrays. It equals the unfolded pair up to rounding.
     """
     c = p.spec.out_channels
-    _require(np.shape(p.weight) == p.spec.weight_shape() and np.shape(p.bias) == (c,),
-             f"weight/bias shapes {np.shape(p.weight)}, {np.shape(p.bias)} do not "
-             f"match {p.spec.weight_shape()}, ({c},)")
+    if not (np.shape(p.weight) == p.spec.weight_shape() and np.shape(p.bias) == (c,)):
+        raise ValueError(f"weight/bias shapes {np.shape(p.weight)}, {np.shape(p.bias)} do not "
+                         f"match {p.spec.weight_shape()}, ({c},)")
     _check_bn(c, p.gamma, p.beta, p.mean, p.var)
     dt = x.dtype
     scale = np.asarray(p.gamma, dt) / np.sqrt(np.asarray(p.var, dt) + p.eps)

@@ -108,7 +108,9 @@ def load_weights(path: str) -> tuple[str, dict[str, Array]]:
 
 def load_into_model(path: str, cfg: VariantConfig) -> ModelWeights:
     """Builds a zero-filled weight skeleton for cfg and fills it from the
-    file, checking that names and shapes line up exactly.
+    file, checking that names and shapes line up exactly and that every
+    batch-norm variance is non-negative (NaN is rejected), as conv_bn
+    requires.
     """
     variant, loaded = load_weights(path)
     if variant != cfg.name:
@@ -127,5 +129,9 @@ def load_into_model(path: str, cfg: VariantConfig) -> ModelWeights:
             raise WeightsFormatError(
                 f"{path}: parameter {name!r} has shape {src.shape}, "
                 f"model expects {arr.shape}")
+        if name.endswith(".bn.var") and not np.all(src >= 0):
+            raise WeightsFormatError(
+                f"{path}: parameter {name!r} must be non-negative, "
+                f"holds {src[~(src >= 0)][0]}")
         arr[...] = src
     return model

@@ -10,7 +10,7 @@ import pytest
 
 from helpers import child_env
 from mobilevig import bench, verify
-from mobilevig.arch import build_model, get_variant
+from mobilevig.arch import build_model, get_variant, named_params
 from mobilevig.cli import load_ppm, main
 from mobilevig.weights_io import save_weights
 
@@ -416,13 +416,19 @@ def test_forward_deterministic_and_seed_env(capsys, tmp_path, monkeypatch):
     ["verify", "--suite", "grad", "--seed", "-1"],
     ["forward", "--variant", "Ti", "--size", "64", "--seed", "-3"],
     ["verify", "--suite", "oracle", "--seed", "x"],
+    ["profile", "--variant", "Ti", "--size", "abc"],
+    ["profile", "--variant", "Ti", "--batch", "abc"],
+    ["profile", "--variant", "Ti", "--reps", "abc"],
 ])
 def test_bad_seed_flag_names_the_flag(capsys, argv):
+    # every integer flag rejects a bad value in one form, naming the flag
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert "argument --seed: expected a non-negative integer" in err
+    flag, value = argv[-2:]
+    kind = "non-negative" if flag == "--seed" else "positive"
+    assert f"argument {flag}: expected a {kind} integer, got {value!r}" in err
 
 
 @pytest.mark.parametrize("value", ["-2", "x"])
@@ -499,6 +505,18 @@ def test_forward_rejects_malformed_weights(capsys, tmp_path, corrupt):
     rc = main(["forward", "--variant", "Ti", "--size", "64", "--load", str(path)])
     assert rc == 2
     _assert_one_error_line(capsys, "ti.mvig")
+
+
+@pytest.mark.parametrize("var", [-1.0, np.nan], ids=["negative", "nan"])
+def test_forward_rejects_a_weights_file_with_a_bad_variance(capsys, tmp_path, var):
+    # caught on load, naming the file and the parameter, not by the forward
+    weights = build_model(get_variant("Ti"), 0)
+    dict(named_params(weights))["downsample1.bn.var"][5] = var
+    path = tmp_path / "ti.mvig"
+    save_weights(str(path), weights)
+    rc = main(["forward", "--variant", "Ti", "--size", "64", "--load", str(path)])
+    assert rc == 2
+    _assert_one_error_line(capsys, "ti.mvig: parameter 'downsample1.bn.var'")
 
 
 def _write_ppm(path, w, h):

@@ -372,6 +372,39 @@ print(json.dumps(seen))
     assert after == [before] * 3
 
 
+def test_openblas_at_a_path_with_a_space_is_found(run_with_blas_threads, tmp_path):
+    # /proc/self/maps gives the pathname as everything after the fifth field,
+    # spaces included. The library is copied: a hard link would map under
+    # the path it was first loaded from
+    out = run_with_blas_threads(f"""
+import ctypes
+import shutil
+from pathlib import Path
+import numpy as np
+from mobilevig.arch import VARIANTS, build_model, model_forward
+from mobilevig.tensor_core import _openblas
+
+with open("/proc/self/maps") as f:
+    libs = sorted({{line.split(maxsplit=5)[-1] for line in f.read().splitlines()
+                   if "openblas" in line.lower() and ".so" in line}})
+if not libs:
+    print("no OpenBLAS")
+    raise SystemExit
+copy = Path({str(tmp_path)!r}) / "with space" / ("copy of " + Path(libs[0]).name)
+copy.parent.mkdir()
+shutil.copyfile(libs[0], copy)
+ctypes.CDLL(str(copy))
+assert copy.name in [name for name, _, _ in _openblas()]
+cfg = VARIANTS["Ti"]
+x = np.random.default_rng(0).standard_normal((1, 3, 64, 64)).astype(np.float32)
+assert np.all(np.isfinite(model_forward(x, build_model(cfg, 0), cfg)))
+print("ok")
+""", threads=1)
+    if out.strip() == "no OpenBLAS":
+        pytest.skip("no OpenBLAS in this process: nothing is pinned")
+    assert out.strip() == "ok"
+
+
 def _random_conv_bn(spec, dtype, seed):
     rng = np.random.default_rng(seed)
     c = spec.out_channels
