@@ -2,8 +2,8 @@
 downsampling, one SVGA stage, and a convolutional classification head.
 
 Stage schedule for a (h, w) input: stem brings the map to h/4, each
-downsample halves it again, so the SVGA stage runs at h/32. Per-variant
-depths, widths and the SVGA connection stride live in VariantConfig.
+downsample halves it again, so the SVGA stage runs at h/32. VariantConfig
+holds what varies (depths, widths, SVGA stride k); the rest is constants.
 """
 
 from __future__ import annotations
@@ -26,7 +26,9 @@ from .tensor_core import (
     linear,
 )
 
-BN_EPS = 1e-5
+EXPANSION = 4  # MBConv hidden width over block width
+HEAD_HIDDEN = 1024
+NUM_CLASSES = 1000
 INIT_STD = 0.02
 INIT_BOUND = 2.0  # truncation in units of sigma
 
@@ -37,10 +39,6 @@ class VariantConfig:
     stage_depths: tuple[int, int, int, int]
     stage_channels: tuple[int, int, int, int]
     k: int = 2
-    expansion: int = 4
-    ffn_ratio: int = 4
-    head_hidden: int = 1024
-    num_classes: int = 1000
 
 
 VARIANTS: dict[str, VariantConfig] = {
@@ -71,8 +69,7 @@ class ModelWeights:
     head_bias: Array
 
 
-def _trunc_normal(rng: np.random.Generator, shape: tuple[int, ...],
-                  std: float = INIT_STD) -> Array:
+def _trunc_normal(rng: np.random.Generator, shape: tuple[int, ...]) -> Array:
     vals = rng.standard_normal(shape)
     # redraw only the positions still out of range, in ascending order: the
     # same draws as a whole-array mask loop, so seeded weights keep their bits
@@ -81,7 +78,7 @@ def _trunc_normal(rng: np.random.Generator, shape: tuple[int, ...],
     while idx.size:
         flat[idx] = rng.standard_normal(idx.size)
         idx = idx[np.abs(flat[idx]) > INIT_BOUND]
-    vals *= std
+    vals *= INIT_STD
     return vals.astype(np.float32)
 
 
@@ -95,7 +92,6 @@ def _init_conv_bn(draw: Callable[[tuple[int, ...]], Array], spec: ConvSpec) -> C
         beta=np.zeros(c, dtype=np.float32),
         mean=np.zeros(c, dtype=np.float32),
         var=np.ones(c, dtype=np.float32),
-        eps=BN_EPS,
     )
 
 
@@ -123,7 +119,7 @@ def layer_plan(cfg: VariantConfig) -> tuple[Layer, ...]:
     ))]
     for i in range(3):
         c = cfg.stage_channels[i]
-        hidden = cfg.expansion * c
+        hidden = EXPANSION * c
         mbconv = (
             ("expand", ConvSpec(c, hidden, (1, 1))),
             ("depthwise", ConvSpec(hidden, hidden, (3, 3), 1, 1, groups=hidden)),
@@ -133,9 +129,9 @@ def layer_plan(cfg: VariantConfig) -> tuple[Layer, ...]:
                  for b in range(cfg.stage_depths[i])]
         plan.append(Layer(f"downsample{i + 1}", "downsample",
                           (("", ConvSpec(c, cfg.stage_channels[i + 1], (3, 3), 2, 1)),)))
-    svga = block_convs(c4, cfg.ffn_ratio)
+    svga = block_convs(c4)
     plan += [Layer(f"stage4.{b}", "svga", svga) for b in range(cfg.stage_depths[3])]
-    plan.append(Layer("head.conv", "head", (("", ConvSpec(c4, cfg.head_hidden, (1, 1))),)))
+    plan.append(Layer("head.conv", "head", (("", ConvSpec(c4, HEAD_HIDDEN, (1, 1))),)))
     return tuple(plan)
 
 
@@ -154,8 +150,8 @@ def build_model(cfg: VariantConfig, seed: int = 0, *, skeleton: bool = False) ->
         draw = partial(_trunc_normal, np.random.default_rng(seed))
     blocks = [tuple(_init_conv_bn(draw, spec) for _, spec in layer.convs)
               for layer in layer_plan(cfg)]
-    head_weight = draw((cfg.num_classes, cfg.head_hidden))
-    head_bias = np.zeros(cfg.num_classes, dtype=np.float32)
+    head_weight = draw((NUM_CLASSES, HEAD_HIDDEN))
+    head_bias = np.zeros(NUM_CLASSES, dtype=np.float32)
     return ModelWeights(cfg.name, blocks, head_weight, head_bias)
 
 
@@ -190,10 +186,13 @@ def downsample_forward(x: Array, w: tuple[ConvBn, ...]) -> Array:
 def forward_entries(x: Array, weights: ModelWeights, cfg: VariantConfig):
     """The one walk over the network: yields (layer, t) after each
     layer_plan entry, where t is that entry's output; the head entry's is
-    its map before the pool. The variant and the input shape are checked
-    before the first yield, so bad input raises on the first next()."""
+    its map before the pool. The variant and the input's dtype and shape
+    are checked before the first yield, so bad input raises on the first
+    next()."""
     if weights.variant != cfg.name:
         raise ValueError(f"weights are for variant {weights.variant!r}, config is {cfg.name!r}")
+    if x.dtype.kind != "f":
+        raise ValueError(f"input must be a floating-point array, got {x.dtype}")
     if not (x.ndim == 4 and x.shape[1] == 3):
         raise ValueError(f"input must be (n, 3, h, w), got {x.shape}")
     if not (x.shape[2] % 32 == 0 and x.shape[3] % 32 == 0):
@@ -284,7 +283,7 @@ def layer_shapes(cfg: VariantConfig, h: int,
             macs += oh * ow * spec.out_channels * (spec.in_channels // spec.groups) * kh * kw
             h, w = oh, ow
         if layer.kind == "head":
-            macs += cfg.head_hidden * cfg.num_classes
+            macs += HEAD_HIDDEN * NUM_CLASSES
         rows.append((layer, macs, (h, w)))
     return rows
 

@@ -14,8 +14,8 @@ import time
 
 import numpy as np
 
-from .arch import (build_model, count_macs, count_params, get_variant, layer_shapes,
-                   model_forward)
+from .arch import (HEAD_HIDDEN, NUM_CLASSES, build_model, count_macs, count_params,
+                   get_variant, layer_shapes, model_forward)
 from .bench import MIN_REPS, profile
 from .verify import SUITES, run_suites
 from .weights_io import load_into_model, save_weights
@@ -123,8 +123,7 @@ def _cmd_describe(args) -> int:
                      cfg.stage_channels[i], cfg.stage_depths[i]))
     rows.append(("stage4", f"{res[3][0]}x{res[3][1]}", f"SVGA k={cfg.k}",
                  cfg.stage_channels[3], cfg.stage_depths[3]))
-    rows.append(("head", "1x1", f"conv1x1 {cfg.head_hidden} + pool + fc",
-                 cfg.num_classes, 1))
+    rows.append(("head", "1x1", f"conv1x1 {HEAD_HIDDEN} + pool + fc", NUM_CLASSES, 1))
 
     print(f"MobileViG-{cfg.name} @ {size}x{size}")
     print(f"{'stage':<8} {'output':>8} {'op':<28} {'channels':>8} {'blocks':>6}")

@@ -28,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from .svga import block_convs, fold_shifts, svga_block_forward
-from .tensor_core import Array, ConvBn, ConvSpec, conv2d, conv_bn, gelu, gelu_grad, roll_2d
+from .tensor_core import BN_EPS, Array, ConvBn, ConvSpec, conv2d, conv_bn, gelu, gelu_grad, roll_2d
 
 
 class GradCheckError(RuntimeError):
@@ -36,7 +36,7 @@ class GradCheckError(RuntimeError):
 
 
 def _bn_scale(p: ConvBn) -> Array:
-    return p.gamma / np.sqrt(p.var + p.eps)
+    return p.gamma / np.sqrt(p.var + BN_EPS)
 
 
 # the learned arrays of a ConvBn, in the order gradients are checked
@@ -48,7 +48,7 @@ def _conv_bn_backward(g: Array, x_in: Array, p: ConvBn) -> tuple[Array, tuple[Ar
     p's _LEARNED arrays. The gamma gradient needs the unfolded conv output,
     which conv2d gives again with the forward's bits."""
     pre = conv2d(x_in, p.spec, p.weight, p.bias)
-    inv_std = 1.0 / np.sqrt(p.var + p.eps)
+    inv_std = 1.0 / np.sqrt(p.var + BN_EPS)
     g_gamma = np.einsum(
         "nchw,nchw->c", g, (pre - p.mean.reshape(1, -1, 1, 1)) * inv_std.reshape(1, -1, 1, 1))
     g_pre = g * _bn_scale(p).reshape(1, -1, 1, 1)
@@ -182,12 +182,12 @@ def random_conv_bn(rng: np.random.Generator, in_c: int, out_c: int, dtype) -> Co
     )
 
 
-def random_block_weights(c: int, rng: np.random.Generator, ffn_ratio: int = 4,
+def random_block_weights(c: int, rng: np.random.Generator,
                          dtype=np.float64) -> tuple[ConvBn, ...]:
     """Random SVGA block weights (float64 default, as the checker needs): the
     tuple of the block's ConvBns, drawn conv by conv in block_convs order."""
     return tuple(random_conv_bn(rng, spec.in_channels, spec.out_channels, dtype)
-                 for _, spec in block_convs(c, ffn_ratio))
+                 for _, spec in block_convs(c))
 
 
 # central-difference step; the near-tie margin that forces a resample; the

@@ -123,7 +123,7 @@ def knn_graph(x: Array, k: int) -> KnnAdjacency:
     n, c, h, w = x.shape
     num = h * w
     if not 1 <= k < num:
-        raise ValueError(f"k must be in [1, {num}), got {k}")
+        raise ValueError(f"k must be in [1, {num}) for a {h}x{w} map, got {k}")
     feats = x.transpose(0, 2, 3, 1).reshape(n, num, c)
     idx = np.empty((n, num, k), dtype=np.int64)
     for b in range(n):

@@ -152,7 +152,10 @@ def gather_aggregate(x: Array, graph: FixedGraph) -> Array:
     return xj
 
 
-def block_convs(c: int, ffn_ratio: int) -> tuple[tuple[str, ConvSpec], ...]:
+FFN_RATIO = 4  # FFN hidden width over block width
+
+
+def block_convs(c: int) -> tuple[tuple[str, ConvSpec], ...]:
     """The convs of an SVGA block of width c, as (name, spec) pairs in the
     order the block applies them: the Grapher's w_in, proj and w_out, then
     the FFN's w1 and w2. A block's weights are the tuple of its ConvBns in
@@ -161,8 +164,8 @@ def block_convs(c: int, ffn_ratio: int) -> tuple[tuple[str, ConvSpec], ...]:
         ("grapher.w_in", ConvSpec(c, c, (1, 1))),
         ("grapher.proj", ConvSpec(2 * c, 2 * c, (1, 1))),
         ("grapher.w_out", ConvSpec(2 * c, c, (1, 1))),
-        ("ffn.w1", ConvSpec(c, ffn_ratio * c, (1, 1))),
-        ("ffn.w2", ConvSpec(ffn_ratio * c, c, (1, 1))),
+        ("ffn.w1", ConvSpec(c, FFN_RATIO * c, (1, 1))),
+        ("ffn.w2", ConvSpec(FFN_RATIO * c, c, (1, 1))),
     )
 
 

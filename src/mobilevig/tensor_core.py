@@ -45,7 +45,8 @@ blocks like the float32 kernel, each element's op sequence chosen by its
 own value. The package needs numpy only.
 
 `conv_bn` folds inference batch norm into the conv weights and bias on every
-call, so a conv and its batch norm cost one pass over the output.
+call, so a conv and its batch norm cost one pass over the output. Its eps is
+always `BN_EPS`: a ConvBn carries none, and an MVIG file stores none.
 
 Three kernels take an explicit `out=`, by keyword: `gelu(x, out=x)`,
 `elem_add(a, b, out=a)` and `conv_bn(x, p, out=x)` (`conv2d` likewise) for
@@ -100,6 +101,7 @@ Array = np.ndarray
 _INV_SQRT2 = 0.7071067811865476
 _INV_SQRT2PI = 0.3989422804014327
 _INV_SQRTPI = 0.5641895835477563
+BN_EPS = 1e-5  # every ConvBn's batch-norm epsilon (conv_bn, the gradient checker)
 
 # output pixels per GEMM call of a dense conv; fixed, never derived from the
 # pixel count, so that a pixel's result does not depend on the image size
@@ -451,7 +453,7 @@ def _check_bn(c: int, gamma: Array, beta: Array, mean: Array, var: Array) -> Non
 
 
 def batchnorm_infer(x: Array, gamma: Array, beta: Array, mean: Array,
-                    var: Array, eps: float = 1e-5) -> Array:
+                    var: Array, eps: float = BN_EPS) -> Array:
     """Inference batch norm: gamma * (x - mean) / sqrt(var + eps) + beta."""
     _check_nchw(x)
     c = x.shape[1]
@@ -693,7 +695,6 @@ class ConvBn:
     beta: Array
     mean: Array
     var: Array
-    eps: float = 1e-5
 
 
 def conv_bn(x: Array, p: ConvBn, *, out: Array | None = None) -> Array:
@@ -701,7 +702,7 @@ def conv_bn(x: Array, p: ConvBn, *, out: Array | None = None) -> Array:
     out= as conv2d's, for a stride-1 depthwise conv only.
 
     The folded weight is weight * scale and the folded bias is
-    (bias - mean) * scale + beta, with scale = gamma / sqrt(var + eps), all
+    (bias - mean) * scale + beta, with scale = gamma / sqrt(var + BN_EPS), all
     computed in x's dtype on every call: the result tracks any in-place
     change to p's arrays. It equals the unfolded pair up to rounding.
     """
@@ -711,7 +712,7 @@ def conv_bn(x: Array, p: ConvBn, *, out: Array | None = None) -> Array:
                          f"match {p.spec.weight_shape()}, ({c},)")
     _check_bn(c, p.gamma, p.beta, p.mean, p.var)
     dt = x.dtype
-    scale = np.asarray(p.gamma, dt) / np.sqrt(np.asarray(p.var, dt) + p.eps)
+    scale = np.asarray(p.gamma, dt) / np.sqrt(np.asarray(p.var, dt) + BN_EPS)
     weight = np.asarray(p.weight, dt) * scale.reshape(-1, 1, 1, 1)
     bias = (np.asarray(p.bias, dt) - np.asarray(p.mean, dt)) * scale + np.asarray(p.beta, dt)
     return conv2d(x, p.spec, weight, bias, out=out)

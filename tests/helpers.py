@@ -7,18 +7,20 @@ import numpy as np
 
 import mobilevig
 from mobilevig.svga import FixedGraph
-from mobilevig.tensor_core import ConvBn, ConvSpec
+from mobilevig.tensor_core import BN_EPS, ConvBn, ConvSpec
 
 
 def identity_conv_bn(spec: ConvSpec, weight, bias=None, dtype=np.float32) -> ConvBn:
-    """ConvBn whose batch norm is the identity (eps folded to zero)."""
+    """ConvBn whose batch norm is the identity for inputs of dtype: gamma is
+    sqrt(1 + BN_EPS) rounded as conv_bn rounds its denominator, so the
+    folded scale is a number divided by itself, exactly 1."""
     c = spec.out_channels
     one = np.ones(c, dtype=dtype)
     zero = np.zeros(c, dtype=dtype)
     if bias is None:
         bias = np.zeros(c, dtype=dtype)
     return ConvBn(spec, np.asarray(weight, dtype=dtype), np.asarray(bias, dtype=dtype),
-                  gamma=one, beta=zero, mean=zero, var=one, eps=0.0)
+                  gamma=np.sqrt(one + BN_EPS), beta=zero, mean=zero, var=one)
 
 
 def neighbors_per_pixel(graph: FixedGraph) -> int:

@@ -9,7 +9,8 @@ import sys
 import numpy as np
 import pytest
 
-from mobilevig.arch import VARIANTS, build_model, count_macs, count_params, model_forward_with_stages
+from mobilevig.arch import (NUM_CLASSES, VARIANTS, build_model, count_macs, count_params,
+                            model_forward_with_stages)
 from mobilevig.bench import aggregation_steps, percentiles_ns, time_interleaved
 from mobilevig.verify import (
     run_equivariance_suite,
@@ -76,7 +77,7 @@ def test_criterion_5_shape_schedule():
         for i, feat in enumerate(stages):
             if feat.shape != (1, cfg.stage_channels[i], want_res[i], want_res[i]):
                 failures.append(f"{name} stage{i + 1} shape {feat.shape}")
-        if logits.shape != (1, cfg.num_classes):
+        if logits.shape != (1, NUM_CLASSES):
             failures.append(f"{name} logits {logits.shape}")
         if not np.all(np.isfinite(logits)):
             failures.append(f"{name} non-finite logits")

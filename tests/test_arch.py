@@ -6,8 +6,11 @@ import pytest
 
 from mobilevig import arch
 from mobilevig.arch import (
+    EXPANSION,
+    HEAD_HIDDEN,
     INIT_BOUND,
     INIT_STD,
+    NUM_CLASSES,
     VARIANTS,
     build_model,
     count_macs,
@@ -24,7 +27,7 @@ from mobilevig.arch import (
     stem_forward,
     _trunc_normal,
 )
-from mobilevig.svga import svga_block_forward
+from mobilevig.svga import FFN_RATIO, svga_block_forward
 from mobilevig.tensor_core import ConvSpec, conv_bn, gelu, global_avg_pool, linear
 from mobilevig.weights_io import load_into_model, save_weights
 
@@ -56,15 +59,15 @@ def analytic_params(cfg):
     total = _conv_bn(3, c1 // 2, 3, 3) + _conv_bn(c1 // 2, c1, 3, 3)
     for i in range(3):
         c = cfg.stage_channels[i]
-        hid = cfg.expansion * c
+        hid = EXPANSION * c
         block = _conv_bn(c, hid) + _conv_bn(hid, hid, 3, 3, groups=hid) + _conv_bn(hid, c)
         total += cfg.stage_depths[i] * block
         total += _conv_bn(c, cfg.stage_channels[i + 1], 3, 3)
     svga = (_conv_bn(c4, c4) + _conv_bn(2 * c4, 2 * c4) + _conv_bn(2 * c4, c4)
-            + _conv_bn(c4, cfg.ffn_ratio * c4) + _conv_bn(cfg.ffn_ratio * c4, c4))
+            + _conv_bn(c4, FFN_RATIO * c4) + _conv_bn(FFN_RATIO * c4, c4))
     total += cfg.stage_depths[3] * svga
-    total += _conv_bn(c4, cfg.head_hidden)
-    total += cfg.head_hidden * cfg.num_classes + cfg.num_classes
+    total += _conv_bn(c4, HEAD_HIDDEN)
+    total += HEAD_HIDDEN * NUM_CLASSES + NUM_CLASSES
     return total
 
 
@@ -74,17 +77,17 @@ def analytic_macs(cfg, size):
     total = (size // 2) ** 2 * (c1 // 2) * 3 * 9 + res ** 2 * c1 * (c1 // 2) * 9
     for i in range(3):
         c = cfg.stage_channels[i]
-        hid = cfg.expansion * c
+        hid = EXPANSION * c
         block = res ** 2 * (c * hid + hid * 9 + hid * c)
         total += cfg.stage_depths[i] * block
         res //= 2
         total += res ** 2 * cfg.stage_channels[i + 1] * c * 9
     px = res ** 2
     svga = px * (c4 * c4 + 4 * c4 * c4 + 2 * c4 * c4
-                 + c4 * cfg.ffn_ratio * c4 + cfg.ffn_ratio * c4 * c4)
+                 + c4 * FFN_RATIO * c4 + FFN_RATIO * c4 * c4)
     total += cfg.stage_depths[3] * svga
-    total += px * c4 * cfg.head_hidden
-    total += cfg.head_hidden * cfg.num_classes
+    total += px * c4 * HEAD_HIDDEN
+    total += HEAD_HIDDEN * NUM_CLASSES
     return total
 
 
@@ -375,7 +378,7 @@ def test_stage4_shape_at_224(name, c4):
     x = rand((1, 3, 224, 224), seed=8)
     logits, stages = model_forward_with_stages(x, w, cfg)
     assert stages[3].shape == (1, c4, 7, 7)
-    assert logits.shape == (1, cfg.num_classes)
+    assert logits.shape == (1, NUM_CLASSES)
 
 
 def test_model_forward_batch_independence():
@@ -402,6 +405,24 @@ def test_model_forward_input_validation():
         model_forward(rand((1, 3, 225, 225)), w, cfg)
     with pytest.raises(ValueError):
         model_forward(rand((1, 1, 64, 64)), w, cfg)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint8, np.bool_])
+def test_forward_rejects_non_float_input_on_first_next(dtype):
+    # without the check, integer input failed inside the stem's GeLU with a
+    # message naming neither the input nor the cause
+    cfg = VARIANTS["Ti"]
+    entries = forward_entries(np.ones((1, 3, 32, 32), dtype), build_model(cfg, skeleton=True), cfg)
+    with pytest.raises(ValueError) as err:
+        next(entries)
+    assert str(err.value) == f"input must be a floating-point array, got {np.dtype(dtype)}"
+
+
+@pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+def test_model_forward_runs_on_every_float_dtype(dtype):
+    cfg = VARIANTS["Ti"]
+    logits = model_forward(rand((1, 3, 32, 32), seed=11).astype(dtype), build_model(cfg, 0), cfg)
+    assert logits.shape == (1, NUM_CLASSES) and np.all(np.isfinite(logits))
 
 
 def test_model_forward_rejects_weights_of_another_variant():

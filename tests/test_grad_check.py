@@ -69,7 +69,7 @@ def test_exact_identity_loss_matches_float_forward():
 def test_random_block_weights_follow_block_convs():
     w = random_block_weights(6, np.random.default_rng(0))
     assert isinstance(w, tuple)
-    assert [p.spec for p in w] == [spec for _, spec in block_convs(6, 4)]
+    assert [p.spec for p in w] == [spec for _, spec in block_convs(6)]
 
 
 def test_element_budget_enforced():
@@ -91,8 +91,8 @@ def test_gradients_block_diagonal_in_batch():
 
 
 def test_nonfinite_gradient_names_parameter(monkeypatch):
-    def poisoned(c, rng, ffn_ratio=4, dtype=np.float64):
-        w = random_block_weights(c, rng, ffn_ratio, dtype)
+    def poisoned(c, rng, dtype=np.float64):
+        w = random_block_weights(c, rng, dtype)
         w[0].weight[0, 0, 0, 0] = np.nan  # grapher.w_in
         return w
 
@@ -128,8 +128,8 @@ def test_grad_suite_fails_on_a_nan_error(monkeypatch):
 def test_nonfinite_operand_gives_a_nan_error_quietly(monkeypatch, value, identity_act):
     # beta of the last ConvBn enters no gradient, so every gradient stays
     # finite while the block output and its loss do not
-    def poisoned(c, rng, ffn_ratio=4, dtype=np.float64):
-        w = random_block_weights(c, rng, ffn_ratio, dtype)
+    def poisoned(c, rng, dtype=np.float64):
+        w = random_block_weights(c, rng, dtype)
         w[4].beta[0] = value
         return w
 

@@ -311,6 +311,17 @@ def test_k_bounds_rejected():
         knn_graph(x, 9)
 
 
+@pytest.mark.parametrize("size,k,message", [
+    (1, 1, "k must be in [1, 1) for a 1x1 map, got 1"),
+    (3, 9, "k must be in [1, 9) for a 3x3 map, got 9"),
+])
+def test_k_range_error_names_the_map(size, k, message):
+    # on a 1x1 map the range is empty, so the message must say why
+    with pytest.raises(ValueError) as err:
+        knn_graph(rand((1, 2, size, size)), k)
+    assert str(err.value) == message
+
+
 def test_fixed_adjacency_matches_gather_oracle(assert_bitwise):
     for h, w, k, seed in ((8, 8, 2, 0), (7, 7, 2, 1), (5, 9, 3, 2)):
         x = rand((2, 3, h, w), seed)

@@ -23,9 +23,9 @@ def rand(shape, seed=0):
     return np.random.default_rng(seed).standard_normal(shape).astype(np.float32)
 
 
-def zero_block_weights(c, ffn_ratio=4):
+def zero_block_weights(c):
     return tuple(identity_conv_bn(spec, np.zeros(spec.weight_shape(), np.float32))
-                 for _, spec in block_convs(c, ffn_ratio))
+                 for _, spec in block_convs(c))
 
 
 # --------------------------------------------------------- fixed offsets
@@ -262,7 +262,7 @@ def test_ffn_zero_weights_is_identity():
 
 
 def test_ffn_hidden_width():
-    w = zero_block_weights(8, ffn_ratio=4)
+    w = zero_block_weights(8)
     w1, w2 = w[3:]
     assert w1.spec.out_channels == 32
     assert w2.spec.in_channels == 32

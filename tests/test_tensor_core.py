@@ -14,6 +14,7 @@ from mobilevig.tensor_core import (
     _DW_BLOCK,
     _GELU_BLOCK,
     _pad_hw,
+    BN_EPS,
     ConvBn,
     ConvSpec,
     batchnorm_infer,
@@ -428,7 +429,7 @@ def test_conv_bn_matches_conv_then_batchnorm(spec, dtype):
     x = rand((2, spec.in_channels, 9, 11), seed=32, dtype=dtype)
     got = conv_bn(x, p)
     want = batchnorm_infer(conv2d(x, spec, p.weight, p.bias),
-                           p.gamma, p.beta, p.mean, p.var, p.eps)
+                           p.gamma, p.beta, p.mean, p.var, BN_EPS)
     assert got.dtype == dtype
     np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5 * float(np.abs(want).max()))
 
@@ -442,7 +443,7 @@ def test_conv_bn_follows_in_place_weight_changes():
     p.gamma[1] *= 2.0
     after = conv_bn(x, p)
     want = batchnorm_infer(conv2d(x, spec, p.weight, p.bias),
-                           p.gamma, p.beta, p.mean, p.var, p.eps)
+                           p.gamma, p.beta, p.mean, p.var, BN_EPS)
     assert not np.array_equal(before, after)
     np.testing.assert_allclose(after, want, rtol=1e-12, atol=1e-12)
 
@@ -871,7 +872,7 @@ def _dw_conv_bn(c, kernel, padding, dtype, seed):
     weight = rng.integers(-2, 3, size=spec.weight_shape()).astype(dtype)
     bias = rng.integers(-2, 3, size=c).astype(dtype)
     return ConvBn(spec, weight, bias, gamma=rng.uniform(0.5, 2, c), beta=rng.normal(0, 0.1, c),
-                  mean=rng.normal(0, 0.1, c), var=rng.uniform(0.5, 2, c), eps=1e-5)
+                  mean=rng.normal(0, 0.1, c), var=rng.uniform(0.5, 2, c))
 
 
 # per map size, a channel count whose image spans more than one block

@@ -1,3 +1,4 @@
+import dataclasses
 import struct
 
 import numpy as np
@@ -75,6 +76,27 @@ def test_load_into_model_round_trip_is_bitwise_through_the_skeleton(monkeypatch,
     for (name, want), (got_name, got) in pairs:
         assert got_name == name
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+
+def _fields_but(obj, *skip):
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj) if f.name not in skip}
+
+
+def test_mvig_stores_every_model_field():
+    # a field that named_params does not yield is not in the file, so a
+    # save/load round trip would silently reset it to the skeleton's value
+    model = build_model(VARIANTS["Ti"], seed=0)
+    written = dict(named_params(model))
+    per_conv = {name.removeprefix("stem.0."): arr for name, arr in written.items()
+                if name.startswith("stem.0.")}
+    assert list(per_conv) == ["conv.weight", "conv.bias", "bn.gamma", "bn.beta",
+                              "bn.mean", "bn.var"]
+    fields = _fields_but(model.blocks[0][0], "spec")
+    assert sorted(map(id, fields.values())) == sorted(map(id, per_conv.values())), list(fields)
+    head = {name: arr for name, arr in written.items() if name.startswith("head.fc.")}
+    assert list(head) == ["head.fc.weight", "head.fc.bias"]
+    fields = _fields_but(model, "variant", "blocks")
+    assert sorted(map(id, fields.values())) == sorted(map(id, head.values())), list(fields)
 
 
 def test_bad_magic_rejected(tmp_path):
