@@ -15,7 +15,6 @@ import os
 import platform
 import subprocess
 import time
-import tracemalloc
 from pathlib import Path
 from typing import Callable
 
@@ -25,6 +24,7 @@ from .arch import VariantConfig, build_model, forward_entries, layer_shapes, mod
 from .knn import knn_aggregate, knn_graph
 from .svga import mrconv_aggregate
 from .tensor_core import _openblas, global_avg_pool, linear
+from .verify import traced_peaks
 
 MIN_REPS = 30
 
@@ -116,30 +116,15 @@ def time_interleaved(steps: list[Callable[[], object]], reps: int,
 
 
 def entry_peaks(x: np.ndarray, weights, cfg: VariantConfig) -> list[tuple[list[int], int]]:
-    """(input shape, peak bytes) of each forward_entries entry, from one walk
-    under tracemalloc: an entry's peak is the most bytes traced while it
-    ran, above those traced just before it began, its input among them.
-    Tracing is started for the walk and stopped after it, or, when it is
-    already on (PYTHONTRACEMALLOC), left on, with its peak reset."""
-    started = not tracemalloc.is_tracing()
-    if started:
-        tracemalloc.start()
-    try:
-        rows = []
-        entries = forward_entries(x, weights, cfg)
-        t = x
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        for _, out in entries:
-            peak = tracemalloc.get_traced_memory()[1]
-            rows.append((list(t.shape), peak - base))
-            t = out
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-        return rows
-    finally:
-        if started:
-            tracemalloc.stop()
+    """(input shape, traced peak bytes) of each forward_entries entry, from
+    one walk under verify.traced_peaks; the input shapes come from
+    layer_shapes, so no entry's output is kept."""
+    n, _, h, w = x.shape
+    shapes = layer_shapes(cfg, h, w)
+    sizes = [(h, w)] + [hw for _, _, hw in shapes[:-1]]
+    peaks = traced_peaks(lambda: forward_entries(x, weights, cfg))
+    return [([n, layer.convs[0][1].in_channels, *hw], peak)
+            for (layer, _, _), hw, peak in zip(shapes, sizes, peaks, strict=True)]
 
 
 def _row(times: list[int], macs: int | None = None) -> dict:

@@ -235,8 +235,7 @@ def _cmd_forward(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     if args.input == "random":
         size = 224 if args.size is None else args.size
-        if size % 32:
-            raise ValueError(f"input size must be divisible by 32, got {size}")
+        layer_shapes(cfg, size, size)
         rng = np.random.default_rng([seed, 1])
         x = rng.standard_normal((1, 3, size, size)).astype(np.float32)
     else:
@@ -244,11 +243,9 @@ def _cmd_forward(args) -> int:
         if args.size is not None and x.shape[2:] != (args.size, args.size):
             raise ValueError(f"image is {x.shape[2]}x{x.shape[3]}, "
                              f"--size expects {args.size}x{args.size}")
-        if x.shape[2] % 32 or x.shape[3] % 32:
-            raise ValueError(
-                f"image dims {x.shape[2]}x{x.shape[3]} must be divisible by 32")
+        layer_shapes(cfg, *x.shape[2:])
 
-    # the input is checked before any weights are built, loaded or saved
+    # layer_shapes checked the size before any weights are built, loaded or saved
     if args.load_path:
         weights = load_into_model(args.load_path, cfg)
     else:

@@ -28,15 +28,12 @@ from fractions import Fraction
 import numpy as np
 
 from .svga import block_convs, fold_shifts, svga_block_forward
-from .tensor_core import BN_EPS, Array, ConvBn, ConvSpec, conv2d, conv_bn, gelu, gelu_grad, roll_2d
+from .tensor_core import (BN_EPS, Array, ConvBn, ConvSpec, bn_scale, conv2d, conv_bn, gelu,
+                          gelu_grad, roll_2d)
 
 
 class GradCheckError(RuntimeError):
     pass
-
-
-def _bn_scale(p: ConvBn) -> Array:
-    return p.gamma / np.sqrt(p.var + BN_EPS)
 
 
 # the learned arrays of a ConvBn, in the order gradients are checked
@@ -51,7 +48,7 @@ def _conv_bn_backward(g: Array, x_in: Array, p: ConvBn) -> tuple[Array, tuple[Ar
     inv_std = 1.0 / np.sqrt(p.var + BN_EPS)
     g_gamma = np.einsum(
         "nchw,nchw->c", g, (pre - p.mean.reshape(1, -1, 1, 1)) * inv_std.reshape(1, -1, 1, 1))
-    g_pre = g * _bn_scale(p).reshape(1, -1, 1, 1)
+    g_pre = g * bn_scale(p, np.float64).reshape(1, -1, 1, 1)
     grads = (np.einsum("nohw,nihw->oi", g_pre, x_in)[:, :, None, None],
              g_pre.sum(axis=(0, 2, 3)), g_gamma, g.sum(axis=(0, 2, 3)))
     return np.einsum("nohw,oi->nihw", g_pre, p.weight[:, :, 0, 0]), grads
@@ -137,12 +134,12 @@ def _exact_add(a: _Exact, b: _Exact) -> _Exact:
 
 def _exact_operands(p: ConvBn) -> tuple[_Exact, ...]:
     """What _exact_conv_bn reads of p, exact: the weight matrix, then bias,
-    -mean, the float64 _bn_scale(p) and beta, each shaped (1, c, 1, 1)."""
+    -mean, the float64 bn_scale(p) and beta, each shaped (1, c, 1, 1)."""
     def per_channel(v: Array) -> _Exact:
         return _exact(v.reshape(1, -1, 1, 1))
 
     return (_exact(p.weight[:, :, 0, 0]), per_channel(p.bias), per_channel(-p.mean),
-            per_channel(_bn_scale(p)), per_channel(p.beta))
+            per_channel(bn_scale(p, np.float64)), per_channel(p.beta))
 
 
 def _exact_conv_bn(x: _Exact, ops: tuple[_Exact, ...]) -> _Exact:
@@ -217,8 +214,9 @@ def grad_check_svga(shape: tuple[int, int, int, int] = (1, 4, 4, 4), k: int = 2,
         z_finite = bool(np.all(np.isfinite(z)))
         if z_finite and min(tie_gap, act_abs) < TIE_MARGIN:
             continue
-        if z_finite and not identity_act:
-            if not np.array_equal(z, svga_block_forward(x, weights, k)):
+        if z_finite and not identity_act:  # bit patterns: zero signs count
+            if not np.array_equal(z.view(np.uint64),
+                                  svga_block_forward(x, weights, k).view(np.uint64)):
                 raise GradCheckError("forward diverged from block forward")
         # (name, owner, array, analytic gradient): x, then each ConvBn's
         # _LEARNED; the owner's position is 0 for x and i + 1 for weights[i]

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .svga import FixedGraph
-from .tensor_core import Array, _matmul
+from .tensor_core import Array, _check_nchw, _matmul
 
 _U = 2.0 ** -53  # float64 unit roundoff
 # Each underflowing product or FMA loses at most 2^-1075; the certificate
@@ -182,6 +182,7 @@ def knn_aggregate(x: Array, adj: KnnAdjacency) -> Array:
     index array is checked once, so the gathers skip numpy's per-call
     bounds check (mode="clip"), which would buffer each output.
     """
+    _check_nchw(x)
     n, c, h, w = x.shape
     if not (adj.h == h and adj.w == w):
         raise ValueError(f"adjacency is {adj.h}x{adj.w} but input is {h}x{w}")

@@ -25,6 +25,7 @@ from .tensor_core import (
     Array,
     ConvBn,
     ConvSpec,
+    _check_nchw,
     concat_channels,
     conv_bn,
     elem_add,
@@ -113,6 +114,7 @@ def mrconv_aggregate(x: Array, k: int) -> Array:
     The column and row windows are taken by _window_min in O(log(h / k))
     and O(log(w / k)) passes.
     """
+    _check_nchw(x)
     if k < 1:
         raise ValueError(f"connection stride k must be >= 1, got {k}")
     x = np.ascontiguousarray(x)
@@ -137,6 +139,7 @@ def gather_aggregate(x: Array, graph: FixedGraph) -> Array:
     max(x - neighbor, acc), so NaN and zero signs come out as that fold's.
     The input is not modified.
     """
+    _check_nchw(x)
     h, w = x.shape[2], x.shape[3]
     if not (graph.h == h and graph.w == w):
         raise ValueError(f"graph is {graph.h}x{graph.w} but input is {h}x{w}")

@@ -45,8 +45,9 @@ blocks like the float32 kernel, each element's op sequence chosen by its
 own value. The package needs numpy only.
 
 `conv_bn` folds inference batch norm into the conv weights and bias on every
-call, so a conv and its batch norm cost one pass over the output. Its eps is
-always `BN_EPS`: a ConvBn carries none, and an MVIG file stores none.
+call, so a conv and its batch norm cost one pass over the output. It scales
+by `bn_scale` (the gradient checker's scale too), whose eps is always
+`BN_EPS`: a ConvBn carries none, and an MVIG file stores none.
 
 Three kernels take an explicit `out=`, by keyword: `gelu(x, out=x)`,
 `elem_add(a, b, out=a)` and `conv_bn(x, p, out=x)` (`conv2d` likewise) for
@@ -71,7 +72,8 @@ back each library's count when it returns. A threaded OpenBLAS may split
 a long reduction differently, so without the pin a forward's bits would
 depend on the caller's thread count; with it they are the one-thread bits
 everywhere, and a caller at several threads loses them for these calls.
-The libraries are found once, through /proc/self/maps and ctypes. Limits:
+The libraries are found once, through /proc/self/maps (a deleted file
+through /proc/self/map_files) and ctypes. Limits:
 where numpy's BLAS is not OpenBLAS, or there is no /proc, nothing is
 pinned; and the pin is process-global while a GEMM runs, so concurrent
 calls from several Python threads are not supported (one call's restore
@@ -279,11 +281,21 @@ def _openblas() -> tuple[tuple[str, object, object], ...]:
             maps = f.read().splitlines()
     except OSError:
         return ()
-    # the pathname is everything after the fifth field: it may hold spaces
-    paths = dict.fromkeys(line.split(maxsplit=5)[-1] for line in maps
-                          if "openblas" in line.lower() and ".so" in line)
+    # file name -> path to open. The pathname is everything after the fifth
+    # field: it may hold spaces. A file deleted since it was mapped reads
+    # "<path> (deleted)", and is opened through its mapping's map_files
+    # entry, which gives back the library already loaded
+    paths = {}
+    for line in maps:
+        if "openblas" in line.lower() and ".so" in line:
+            span, *_, path = line.split(maxsplit=5)
+            name = path.removesuffix(" (deleted)")
+            if name != path:  # map_files names drop the maps file's zero padding
+                start, end = (int(a, 16) for a in span.split("-"))
+                path = f"/proc/self/map_files/{start:x}-{end:x}"
+            paths.setdefault(name, path)
     found = []
-    for path in paths:
+    for name, path in paths.items():
         lib = ctypes.CDLL(path)
         for prefix, suffix in _OPENBLAS_NAMES:
             get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
@@ -291,7 +303,7 @@ def _openblas() -> tuple[tuple[str, object, object], ...]:
             if get is not None and put is not None:
                 get.restype, get.argtypes = ctypes.c_int, []
                 put.restype, put.argtypes = None, [ctypes.c_int]
-                found.append((os.path.basename(path), get, put))
+                found.append((os.path.basename(name), get, put))
                 break
     return tuple(found)
 
@@ -697,12 +709,17 @@ class ConvBn:
     var: Array
 
 
+def bn_scale(p: ConvBn, dtype) -> Array:
+    """p's batch-norm scale gamma / sqrt(var + BN_EPS), computed in dtype."""
+    return np.asarray(p.gamma, dtype) / np.sqrt(np.asarray(p.var, dtype) + BN_EPS)
+
+
 def conv_bn(x: Array, p: ConvBn, *, out: Array | None = None) -> Array:
     """conv2d then batchnorm_infer, with the batch norm folded into the conv;
     out= as conv2d's, for a stride-1 depthwise conv only.
 
     The folded weight is weight * scale and the folded bias is
-    (bias - mean) * scale + beta, with scale = gamma / sqrt(var + BN_EPS), all
+    (bias - mean) * scale + beta, with scale = bn_scale(p, x.dtype), all
     computed in x's dtype on every call: the result tracks any in-place
     change to p's arrays. It equals the unfolded pair up to rounding.
     """
@@ -712,7 +729,7 @@ def conv_bn(x: Array, p: ConvBn, *, out: Array | None = None) -> Array:
                          f"match {p.spec.weight_shape()}, ({c},)")
     _check_bn(c, p.gamma, p.beta, p.mean, p.var)
     dt = x.dtype
-    scale = np.asarray(p.gamma, dt) / np.sqrt(np.asarray(p.var, dt) + BN_EPS)
+    scale = bn_scale(p, dt)
     weight = np.asarray(p.weight, dt) * scale.reshape(-1, 1, 1, 1)
     bias = (np.asarray(p.bias, dt) - np.asarray(p.mean, dt)) * scale + np.asarray(p.beta, dt)
     return conv2d(x, p.spec, weight, bias, out=out)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import tracemalloc
 from dataclasses import dataclass, field
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -44,10 +45,15 @@ class PropertyResult:
     counterexample: dict = field(default_factory=dict)
 
 
-def _first_mismatch(a: Array, b: Array, differ: Array | None = None) -> dict:
-    """The first index where a and b differ (by !=, or where the boolean
-    array differ is set), their values there and the number of mismatches."""
-    where = np.argwhere(a != b if differ is None else differ)
+def _first_mismatch(a: Array, b: Array) -> dict:
+    """{} when a and b hold the same bit patterns (so +0 and -0 differ, as do
+    NaN payloads), else the first index where they differ, the values there
+    and the number of differing elements."""
+    bits = np.dtype(f"u{a.dtype.itemsize}")
+    differ = a.view(bits) != b.view(bits)
+    if not differ.any():  # argwhere alone costs about ten times as much
+        return {}
+    where = np.argwhere(differ)
     idx = tuple(int(v) for v in where[0])
     return {"index": idx, "lhs": float(a[idx]), "rhs": float(b[idx]),
             "mismatches": int(where.shape[0])}
@@ -75,10 +81,9 @@ def run_oracle_suite(seed: int = 0, seeds_per_case: int = ORACLE_IMAGES) -> Prop
                     got = mrconv_aggregate(x, k)
                     want = gather_aggregate(x, build_fixed_offsets(h, w, k))
                     cases += 1
-                    differ = got.view(np.uint32) != want.view(np.uint32)
-                    if differ.any():
-                        ce = {"h": h, "w": w, "k": k, "c": c, "seed": seed}
-                        ce.update(_first_mismatch(got, want, differ))
+                    mismatch = _first_mismatch(got, want)
+                    if mismatch:
+                        ce = {"h": h, "w": w, "k": k, "c": c, "seed": seed, **mismatch}
                         return PropertyResult(
                             "oracle-equivalence", False,
                             f"mismatch at h={h} w={w} k={k} c={c}", ce)
@@ -122,9 +127,9 @@ def run_equivariance_suite(seed: int = 0,
             lhs = svga_block_forward(_all_rolls(x), weights, EQUIVARIANCE_K)
             rhs = _all_rolls(base)
             checked += h * w
-            bad = np.flatnonzero((lhs != rhs).reshape(h * w, -1).any(axis=1))
-            if bad.size:
-                i = int(bad[0])
+            mismatch = _first_mismatch(lhs, rhs)
+            if mismatch:
+                i = mismatch["index"][0]
                 d, e = divmod(i, w)
                 ce = {"h": h, "w": w, "c": c, "weight_seed": s,
                       "shift": [d, e], "seed": seed}
@@ -212,11 +217,9 @@ def run_knn_suite(seed: int = 0, seeds: int = KNN_SEEDS) -> PropertyResult:
         x = rng.standard_normal((2, 3, h, w)).astype(np.float32)
         graph = build_fixed_offsets(h, w, k)
         via_adj = knn_aggregate(x, adjacency_from_fixed_graph(graph, 2))
-        via_gather = gather_aggregate(x, graph)
-        differ = via_adj.view(np.uint32) != via_gather.view(np.uint32)
-        if differ.any():
-            ce = {"h": h, "w": w, "k": k, "seed": seed}
-            ce.update(_first_mismatch(via_adj, via_gather, differ))
+        mismatch = _first_mismatch(via_adj, gather_aggregate(x, graph))
+        if mismatch:
+            ce = {"h": h, "w": w, "k": k, "seed": seed, **mismatch}
             return PropertyResult(
                 "knn-fixed-adjacency", False,
                 f"adjacency path diverged from gather oracle at {h}x{w} k={k}", ce)
@@ -237,29 +240,38 @@ def run_knn_suite(seed: int = 0, seeds: int = KNN_SEEDS) -> PropertyResult:
         "traced peak ratio > 8")
 
 
+def traced_peaks(steps: Callable[[], Iterator]) -> list[int]:
+    """Each item's peak in one walk of steps()'s iterator: the most bytes
+    tracemalloc traced while its step ran, above those traced just before.
+    steps is called after tracing starts; tracing stops after the walk, or,
+    if it was on (PYTHONTRACEMALLOC), stays on with its peak reset."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        items = steps()
+        peaks = []
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        for _ in items:
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+        return peaks
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
 def _knn_peak_bytes(seed: int) -> tuple[int, int]:
-    """tracemalloc peaks of one knn_graph(x, 9) call on a seeded 7x7 and a
-    14x14 map, c = 16, in bytes over those traced before the call. Each map
-    runs once first, so the first call's OpenBLAS lookup stays out. Tracing
-    is left on or off as found (its peak reset if on)."""
+    """traced_peaks of one knn_graph(x, 9) call on a seeded 7x7 and a 14x14
+    map, c = 16. Each map runs once first, so the first call's OpenBLAS
+    lookup stays out."""
     rng = np.random.default_rng([seed, 14])
     maps = [rng.standard_normal((1, 16, s, s)).astype(np.float32) for s in (7, 14)]
     for x in maps:
         knn_graph(x, 9)
-    was_tracing = tracemalloc.is_tracing()
-    if not was_tracing:
-        tracemalloc.start()
-    try:
-        peaks = []
-        for x in maps:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            knn_graph(x, 9)
-            peaks.append(tracemalloc.get_traced_memory()[1] - before)
-        return tuple(peaks)
-    finally:
-        if not was_tracing:
-            tracemalloc.stop()
+    return tuple(traced_peaks(lambda: (knn_graph(x, 9) for x in maps)))
 
 
 SUITES = {

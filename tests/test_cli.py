@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from helpers import child_env
-from mobilevig import bench, verify
+from mobilevig import bench, cli, verify
 from mobilevig.arch import build_model, get_variant, named_params
 from mobilevig.cli import load_ppm, main
 from mobilevig.weights_io import save_weights
@@ -207,6 +207,24 @@ def test_entry_peaks_leave_tracing_as_they_found_it():
     finally:
         if not was_tracing:
             tracemalloc.stop()
+
+
+def test_profile_first_image_is_forward_seed_0_input(monkeypatch):
+    seen = {}
+
+    def recording(key, forward):
+        def run(x, weights, cfg):
+            seen.setdefault(key, x.copy())
+            return forward(x, weights, cfg)
+        return run
+
+    monkeypatch.setattr(bench, "model_forward", recording("profile", bench.model_forward))
+    monkeypatch.setattr(cli, "model_forward", recording("forward", cli.model_forward))
+    main(["profile", "--variant", "Ti", "--size", "32", "--batch", "2"])  # exit 1 under load
+    assert main(["forward", "--variant", "Ti", "--size", "32", "--seed", "0"]) == 0
+    batch, image = seen["profile"], seen["forward"]
+    assert (batch.shape, image.shape) == ((2, 3, 32, 32), (1, 3, 32, 32))
+    assert np.array_equal(batch[:1].view(np.uint32), image.view(np.uint32))
 
 
 class _TickingClock:

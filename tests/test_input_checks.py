@@ -9,7 +9,7 @@ import pytest
 
 from mobilevig.arch import downsample_forward
 from mobilevig.knn import adjacency_from_fixed_graph, knn_aggregate, knn_graph
-from mobilevig.svga import build_fixed_offsets, mrconv_aggregate
+from mobilevig.svga import build_fixed_offsets, gather_aggregate, mrconv_aggregate
 from mobilevig.tensor_core import ConvSpec, batchnorm_infer, conv2d, linear, roll_2d
 
 
@@ -42,6 +42,24 @@ _CASES = {
     "fixed-offsets-grid": (lambda: build_fixed_offsets(3, 0, 1), "grid dims must be >= 1"),
     "mrconv-k": (lambda: mrconv_aggregate(_zeros(1, 2, 4, 4), 0),
                  "connection stride k must be >= 1, got 0"),
+    # the X_j kernels check the rank: a 5-D array would be aggregated over
+    # the wrong axes
+    "mrconv-rank-5d": (lambda: mrconv_aggregate(_zeros(1, 1, 4, 6, 6), 2),
+                       "x must be 4-D (n, c, h, w), got 5-D"),
+    "mrconv-rank-3d": (lambda: mrconv_aggregate(_zeros(2, 4, 4), 2),
+                       "x must be 4-D (n, c, h, w), got 3-D"),
+    "mrconv-empty": (lambda: mrconv_aggregate(_zeros(1, 0, 4, 4), 2),
+                     "x has a zero-sized dimension"),
+    "gather-rank": (lambda: gather_aggregate(_zeros(2, 4, 4), build_fixed_offsets(4, 4, 2)),
+                    "x must be 4-D (n, c, h, w), got 3-D"),
+    "gather-empty": (lambda: gather_aggregate(_zeros(0, 2, 4, 4), build_fixed_offsets(4, 4, 2)),
+                     "x has a zero-sized dimension"),
+    "knn-aggregate-rank": (lambda: knn_aggregate(
+        _zeros(3, 4, 4), adjacency_from_fixed_graph(build_fixed_offsets(4, 4, 2), 1)),
+        "x must be 4-D (n, c, h, w), got 3-D"),
+    "knn-aggregate-empty": (lambda: knn_aggregate(
+        _zeros(1, 0, 4, 4), adjacency_from_fixed_graph(build_fixed_offsets(4, 4, 2), 1)),
+        "x has a zero-sized dimension"),
     "knn-graph-rank": (lambda: knn_graph(_zeros(2, 4, 4), 2), "x must be (n, c, h, w)"),
     "knn-aggregate-batch": (lambda: knn_aggregate(
         _zeros(2, 3, 4, 4), adjacency_from_fixed_graph(build_fixed_offsets(4, 4, 2), 1)),

@@ -406,6 +406,45 @@ print("ok")
     assert out.strip() == "ok"
 
 
+def test_openblas_whose_file_was_deleted_is_found(run_with_blas_threads, tmp_path):
+    # a mapped file deleted before the lookup reads "<path> (deleted)" in
+    # /proc/self/maps; the library is opened through /proc/self/map_files,
+    # which gives back the copy already loaded and maps no second one
+    out = run_with_blas_threads(f"""
+import ctypes
+import shutil
+from pathlib import Path
+import numpy as np
+from mobilevig.arch import VARIANTS, build_model, model_forward
+from mobilevig.tensor_core import _openblas
+
+def mapped():
+    with open("/proc/self/maps") as f:
+        return [line for line in f.read().splitlines()
+                if "openblas" in line.lower() and ".so" in line]
+
+libs = sorted({{line.split(maxsplit=5)[-1] for line in mapped()}})
+if not libs:
+    print("no OpenBLAS")
+    raise SystemExit
+copy = Path({str(tmp_path)!r}) / ("copy-" + Path(libs[0]).name)
+shutil.copyfile(libs[0], copy)
+ctypes.CDLL(str(copy))
+copy.unlink()
+before = mapped()
+assert any(line.endswith(" (deleted)") for line in before)
+assert copy.name in [name for name, _, _ in _openblas()]
+assert mapped() == before
+cfg = VARIANTS["Ti"]
+x = np.random.default_rng(0).standard_normal((1, 3, 64, 64)).astype(np.float32)
+assert np.all(np.isfinite(model_forward(x, build_model(cfg, 0), cfg)))
+print("ok")
+""", threads=1)
+    if out.strip() == "no OpenBLAS":
+        pytest.skip("no OpenBLAS in this process: nothing is pinned")
+    assert out.strip() == "ok"
+
+
 def _random_conv_bn(spec, dtype, seed):
     rng = np.random.default_rng(seed)
     c = spec.out_channels

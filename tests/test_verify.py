@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 
 from mobilevig import svga, verify
@@ -64,6 +67,59 @@ def test_equivariance_suite_fails_on_batch_position_dependence(monkeypatch):
     r = verify.run_equivariance_suite(seed=0, weight_seeds=2)
     assert not r.ok
     assert r.counterexample["shift"] == [7, 7] and r.counterexample["h"] == 8
+
+
+def test_equivariance_suite_compares_zero_signs(monkeypatch):
+    def zero_signs_lost_in_batches(x, weights, k):
+        # every output a zero, with the forward's signs on one image and +0
+        # on a batch: the values agree, the bits do not
+        out = svga_block_forward(x, weights, k) * np.float32(0.0)
+        return np.abs(out) if out.shape[0] > 1 else out
+
+    monkeypatch.setattr(verify, "svga_block_forward", zero_signs_lost_in_batches)
+    r = verify.run_equivariance_suite(seed=0, weight_seeds=1)
+    assert not r.ok
+    assert r.detail == "shift (0,0) broke equivariance on 8x8"
+    ce = r.counterexample
+    assert (math.copysign(1, ce["lhs"]), math.copysign(1, ce["rhs"])) == (1, -1)
+    assert ce["lhs"] == ce["rhs"] == 0.0
+
+
+def test_first_mismatch_compares_bit_patterns():
+    a = np.array([[0.0, 1.0, np.nan]], np.float32)
+    assert verify._first_mismatch(a, a.copy()) == {}
+    b = a.copy()
+    b[0, 0] = -0.0
+    b.view(np.uint32)[0, 2] += 1  # another NaN payload
+    ce = verify._first_mismatch(a, b)
+    assert (ce["index"], ce["mismatches"]) == ((0, 0), 2)
+    assert verify._first_mismatch(a.astype(np.float64), b.astype(np.float64))["index"] == (0, 0)
+
+
+MIB = 1 << 20
+# an array's header and the generator's small objects: a few hundred bytes
+PEAK_SLACK = 4096
+
+
+def test_traced_peaks_read_each_step_and_leave_tracing_as_found():
+    def steps():
+        # called with tracing on; each step allocates and drops 1 MiB
+        assert tracemalloc.is_tracing()
+        return (np.ones(MIB, np.uint8).nbytes for _ in range(3))
+
+    was_tracing = tracemalloc.is_tracing()
+    try:
+        tracemalloc.stop()
+        peaks = verify.traced_peaks(steps)
+        assert not tracemalloc.is_tracing()
+        assert len(peaks) == 3 and all(MIB <= p <= MIB + PEAK_SLACK for p in peaks)
+        tracemalloc.start()
+        held = np.ones(8 * MIB, np.uint8)  # traced before the walk: in no peak
+        peaks = verify.traced_peaks(steps)
+        assert tracemalloc.is_tracing()
+        assert len(peaks) == 3 and all(MIB <= p <= MIB + PEAK_SLACK for p in peaks)
+    finally:
+        (tracemalloc.start if was_tracing else tracemalloc.stop)()
 
 
 def test_all_rolls_is_every_shift_in_row_major_order():
